@@ -33,6 +33,7 @@ from .cremona import (
     h_transformation_law,
 )
 from .documents import (
+    _CLASS_TOKENS,
     DocumentError,
     format_rational,
     geometry_from_document,
@@ -59,13 +60,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_COMPUTATION = 2
 EXIT_MISMATCH = 3
-
-_SEARCH_CLASSES = {
-    "line-p2": LINES,
-    "conic-p2": CONICS,
-    "one-one-quadric": ONE_ONE,
-}
-
 
 def _rat(value: Fraction | None):
     return None if value is None else format_rational(value)
@@ -262,8 +256,8 @@ def cmd_cremona(args, out) -> int:
 
 
 def _parse_search_class(token: str):
-    if token in _SEARCH_CLASSES:
-        return _SEARCH_CLASSES[token]
+    if token in _CLASS_TOKENS:
+        return _CLASS_TOKENS[token]
     if token.startswith("plane-curve-p2:"):
         try:
             degree = int(token.split(":", 1)[1])

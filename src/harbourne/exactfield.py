@@ -7,15 +7,21 @@ after reduction, so it is decidable, which is the whole point: geometric
 predicates downstream never touch floating point.
 
 Irreducibility of m is the caller's responsibility; it is sanity-checked
-for rational roots, which is a complete check up to degree 3.
+for rational roots, which is a complete check up to degree 3 only (a
+product of two irreducible quadratics passes).
 
 Root extraction for univariate polynomials over the field is provided in
-:func:`roots_in_field`.  Over Q it is plain rational-root extraction.
-Over a number field it is a norm/shift argument: shift x by integer
-multiples of theta until the norm (a resultant down to Q[x]) is
-square-free, factor the norm over Q, and read off the in-field roots as
-the linear gcds.  The rational-field legwork (resultants, factoring) is
-delegated to sympy; everything in K[x] is done here.
+:func:`roots_in_field`.  Over Q the rational roots come from a p-adic
+lift: roots modulo a small prime are Newton-lifted to a power of it and
+turned back into fractions by rational reconstruction, in time
+polynomial in the bit size of the coefficients (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 15); the field construction
+check uses the same routine.  Over a number field it is a norm/shift
+argument: shift x by integer multiples of theta until the norm (a
+resultant down to Q[x]) is square-free, factor the norm over Q, and read
+off the in-field roots as the linear gcds.  That rational-field legwork
+(resultants, factoring) is delegated to sympy, imported only there;
+everything in K[x] is done here.
 """
 
 from __future__ import annotations
@@ -92,38 +98,6 @@ def _zippad(a: Sequence[Rat], b: Sequence[Rat]) -> Iterable[tuple[Rat, Rat]]:
         yield (a[i] if i < len(a) else Rat(0), b[i] if i < len(b) else Rat(0))
 
 
-def _has_rational_root(monic: Sequence[Rat]) -> bool:
-    # Clear denominators: integer polynomial with the same rational roots.
-    den = 1
-    for c in monic:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in monic]
-    if ints[0] == 0:
-        return True  # root at 0
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Rat(p, q), Rat(-p, q)):
-                acc = Rat(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return True
-    return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # fields and elements
 
@@ -148,7 +122,7 @@ class ExactField:
             )
         if coeffs[-1] != 1:
             raise FieldError("min_poly must be monic")
-        if _has_rational_root(coeffs):
+        if _rational_roots(coeffs):
             raise FieldError("min_poly has a rational root, hence is reducible")
 
     @property
@@ -162,7 +136,7 @@ class ExactField:
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction or coefficient sequence into the field."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, (int, Fraction)):
@@ -214,10 +188,33 @@ def _poly_str(coeffs: Sequence[Rat], var: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class FieldElement:
+    """An element of ``field``: immutable, compared and hashed by value."""
+
+    __slots__ = ("field", "coeffs")
+
     field: ExactField
     coeffs: tuple[Rat, ...]
+
+    def __init__(self, field: ExactField, coeffs: tuple[Rat, ...]):
+        _set_field(self, field)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldElement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldElement is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.field is other.field or self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -232,30 +229,42 @@ class FieldElement:
             return other
         return self.field.element(other)
 
+    # The fast paths below test the other operand's field by identity; an
+    # equal but distinct field object, a mismatch or a plain number goes
+    # through _coerce.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return FieldElement(self.field, (a[0] + b[0],))
+        return FieldElement(self.field, tuple([x + y for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return FieldElement(self.field, (a[0] - b[0],))
+        return FieldElement(self.field, tuple([x - y for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if self.field.is_rational:
-            return FieldElement(self.field, (self.coeffs[0] * o.coeffs[0],))
-        prod = _pmul(self.coeffs, o.coeffs)
-        red = self.field._reduce(prod)
-        red += [Rat(0)] * (self.field.degree - len(red))
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return FieldElement(self.field, (a[0] * b[0],))
+        red = self.field._reduce(_pmul(a, b))
+        red += [Rat(0)] * (len(a) - len(red))
         return FieldElement(self.field, tuple(red))
 
     __rmul__ = __mul__
@@ -304,6 +313,11 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
+
+
+# slot writers that bypass the immutability guard, for __init__ only
+_set_field = FieldElement.field.__set__
+_set_coeffs = FieldElement.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -419,38 +433,87 @@ def roots_in_field(
 
 
 def _rational_roots(coeffs: Sequence[Rat]) -> list[Rat]:
-    """Distinct rational roots by the rational root theorem."""
-    poly = list(coeffs)
+    """Distinct rational roots: 0 first, then by (|numerator|, denominator),
+    a positive root before its negative.
+
+    Every rational root of the square-free primitive part
+    f = a_n x^n + ... + a_0 is some a/b with a | a_0 and b | a_n.  Modulo
+    the smallest prime p that does not divide a_n and at which every root
+    of f is simple, each rational root is one of those roots mod p.  Newton
+    iteration lifts each to a root mod M = p^(2^j) > 2|a_0||a_n|, where a/b
+    is the only fraction with |a| <= |a_0| and 0 < b <= |a_n| congruent to
+    it, recovered by the half-extended Euclidean algorithm.  Each candidate
+    is kept only if f(a/b) = 0 exactly, so the cost is polynomial in the
+    bit size of the coefficients.
+    """
+    poly = _pstrip(list(coeffs))
     roots: list[Rat] = []
-    # factor out x^v
-    v = 0
-    while poly and not poly[0]:
-        poly.pop(0)
-        v += 1
-    if v:
+    if poly and not poly[0]:
         roots.append(Rat(0))
+        while not poly[0]:
+            poly.pop(0)
     if len(poly) <= 1:
         return roots
+    g, _, _ = _pxgcd(poly, [c * i for i, c in enumerate(poly)][1:])
+    if len(g) > 1:
+        poly, _ = _pdivmod(poly, g)
     den = 1
     for c in poly:
         den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in poly]
-    g = 0
+    content = 0
     for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    const, lead = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Rat(p, q), Rat(-p, q)):
-                acc = Rat(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
+        content = gcd(content, c)
+    ints = [c // content for c in ints]
+    deriv = [c * i for i, c in enumerate(ints)][1:]
+    a_max, b_max = abs(ints[0]), abs(ints[-1])
+
+    for p in _primes():
+        if b_max % p == 0:
+            continue
+        residues = [r for r in range(p) if _eval_mod(ints, r, p) == 0]
+        if all(_eval_mod(deriv, r, p) for r in residues):
+            break
+
+    found = []
+    for r in residues:
+        m = p
+        while m <= 2 * a_max * b_max:
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        # half-extended Euclid on (m, r), stopped at the first remainder <= a_max
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > a_max:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 and abs(t1) <= b_max and _eval_homogeneous(ints, r1, t1) == 0:
+            found.append(Rat(r1, t1))
+    found.sort(key=lambda c: (abs(c.numerator), c.denominator, c < 0))
+    return roots + found
+
+
+def _primes() -> Iterable[int]:
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _eval_mod(ints: Sequence[int], r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def _eval_homogeneous(ints: Sequence[int], a: int, b: int) -> int:
+    """sum c_i a^i b^(n-i): zero exactly when a/b is a root."""
+    acc, b_pow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        b_pow *= b
+        acc = acc * a + c * b_pow
+    return acc
 
 
 _SHIFT_ATTEMPTS = 64

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     cmd = [sys.executable, "-m", "harbourne", *args]
-    return subprocess.run(cmd, cwd=cwd, text=True, capture_output=True)
+    return subprocess.run(cmd, cwd=cwd, text=True, capture_output=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -175,6 +175,30 @@ def test_geom_number_field_document(tmp_path):
         "k": 3,
         "t": {"2": 3},
     }
+
+
+def test_geom_over_field_with_huge_min_poly_constant(tmp_path):
+    # the reducibility check on theta^2 - (10^24 + 7) must not enumerate
+    # divisors of the constant
+    doc = tmp_path / "huge.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {
+                    "kind": "number-field",
+                    "min_poly": [-1000000000000000000000007, 0, 1],
+                },
+                "curves": [
+                    {"type": "line", "coeffs": [1, [0, -1], 0]},
+                    {"type": "line", "coeffs": [1, [0, 1], 0]},
+                    {"type": "line", "coeffs": [1, 1, 1]},
+                ],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"], timeout=5)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["analysis"]["profile"]["t"] == {"2": 3}
 
 
 def test_geom_outside_field_is_computation_error(tmp_path):

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from harbourne.exactfield import (
     ExactField,
+    FieldElement,
     FieldError,
     RATIONALS,
+    _rational_roots,
     kx_divmod,
     kx_gcd,
     kx_shift,
@@ -38,6 +42,14 @@ class TestFieldConstruction:
         with pytest.raises(FieldError):
             ExactField((F(-8), F(0), F(0), F(1)))  # x^3 - 8
 
+    def test_huge_irreducible_quadratic_accepted_quickly(self):
+        # 10^24 + 7 is not a square; divisor enumeration up to its square
+        # root would not finish
+        field = ExactField((F(-(10**24 + 7)), F(0), F(1)))
+        assert field.generator() ** 2 == field.element(10**24 + 7)
+        with pytest.raises(FieldError):
+            ExactField((F(-(10**24 + 7) ** 2), F(0), F(1)))
+
     def test_non_monic_rejected(self):
         with pytest.raises(FieldError):
             ExactField((F(-2), F(0), F(2)))
@@ -54,6 +66,65 @@ class TestFieldConstruction:
         zero_divisor = theta * theta - 2
         with pytest.raises(FieldError):
             zero_divisor.inverse()
+
+
+class TestFieldElementContract:
+    def test_immutable(self):
+        x = SQRT2.generator()
+        with pytest.raises(AttributeError):
+            x.coeffs = (F(1), F(0))
+        with pytest.raises(AttributeError):
+            x.field = CBRT2
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        with pytest.raises(AttributeError):
+            del x.coeffs
+        assert x.coeffs == (F(0), F(1)) and x.field is SQRT2
+
+    def test_equal_elements_hash_alike(self):
+        theta = SQRT2.generator()
+        a = theta * 2 + 1
+        b = SQRT2.element([1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SQRT2.one()}) == 2
+        assert {a: "x"}[b] == "x"
+        assert RATIONALS.element(F(2, 4)) == RATIONALS.element(F(1, 2))
+        assert len({RATIONALS.element(3), RATIONALS.one() * 3}) == 1
+        assert SQRT2.one() != RATIONALS.one()
+        assert SQRT2.one() != 1
+
+    def test_equal_field_objects_interoperate(self):
+        twin = ExactField((F(-2), F(0), F(1)))
+        assert twin is not SQRT2 and twin == SQRT2
+        a, b = twin.generator(), SQRT2.generator()
+        assert a == b and hash(a) == hash(b)
+        assert a * b == SQRT2.element(2)
+        assert a - b == SQRT2.zero()
+
+    def test_mixing_fields_raises(self):
+        for x, y in (
+            (SQRT2.generator(), CBRT2.generator()),
+            (RATIONALS.one(), SQRT2.one()),
+            (SQRT2.one(), RATIONALS.one()),
+        ):
+            for op in (
+                lambda: x + y,
+                lambda: x - y,
+                lambda: x * y,
+                lambda: x / y,
+            ):
+                with pytest.raises(FieldError):
+                    op()
+
+    @pytest.mark.parametrize("field", [RATIONALS, SQRT2])
+    def test_number_coercion(self, field):
+        x = field.element(5) if field.is_rational else field.generator() + 5
+        assert 2 - x == field.element(2) - x == -(x - 2)
+        assert x - 2 == x + field.element(-2)
+        assert 3 * x == x * 3 == x + x + x
+        assert x * F(1, 3) == x / 3
+        assert isinstance(2 - x, FieldElement) and (2 - x).field is field
+        assert isinstance(x * F(1, 3), FieldElement)
 
 
 class TestArithmetic:
@@ -194,6 +265,118 @@ class TestRoots:
         quartic = ExactField((F(-2), F(0), F(0), F(0), F(1)))
         poly = [quartic.element(-3), quartic.zero(), quartic.one()]
         assert roots_in_field(poly, quartic) == []
+
+
+def _rational_roots_by_divisors(coeffs):
+    """Reference: distinct rational roots by divisor enumeration, the
+    rational root theorem taken literally (cost grows with the square
+    root of the coefficients)."""
+    poly = list(coeffs)
+    roots = []
+    v = 0
+    while poly and not poly[0]:
+        poly.pop(0)
+        v += 1
+    if v:
+        roots.append(F(0))
+    if len(poly) <= 1:
+        return roots
+    den = 1
+    for c in poly:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in poly]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    ints = [c // g for c in ints]
+
+    def divisors(n):
+        out = []
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                out.append(d)
+                if d != n // d:
+                    out.append(n // d)
+        return sorted(out)
+
+    for p in divisors(abs(ints[0])):
+        for q in divisors(abs(ints[-1])):
+            if gcd(p, q) != 1:
+                continue
+            for cand in (F(p, q), F(-p, q)):
+                acc = F(0)
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0 and cand not in roots:
+                    roots.append(cand)
+    return roots
+
+
+def _qmul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_root_poly(rng):
+    """A product of rational linear factors (random denominators, some
+    repeated), maybe x^v, maybe an irreducible quadratic, scaled."""
+    poly = [F(1)]
+    for _ in range(rng.randint(0, 3)):
+        root = F(rng.randint(-12, 12), rng.randint(1, 6))
+        for _ in range(rng.choice((1, 1, 2))):
+            poly = _qmul(poly, [-root, F(1)])
+    if rng.random() < 0.25:
+        poly = [F(0)] * rng.randint(1, 2) + poly
+    if rng.random() < 0.4:
+        b = rng.randint(-4, 4)
+        c = F(b * b, 4) + F(rng.randint(1, 9), rng.randint(1, 3))  # no real roots
+        poly = _qmul(poly, [c, F(b), F(1)])
+    if len(poly) == 1:
+        poly = [F(rng.randint(1, 5)), F(0), F(1)]
+    scale = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 7))
+    return [c * scale for c in poly]
+
+
+class TestRationalRootsOracle:
+    def test_matches_divisor_enumeration(self):
+        rng = random.Random(20150620)
+        for _ in range(200):
+            poly = _random_root_poly(rng)
+            assert _rational_roots(poly) == _rational_roots_by_divisors(poly), poly
+
+    def test_order_zero_then_size_positive_first(self):
+        # x (x - 1/2)(x + 1/2)(x + 3)(x - 2)
+        poly = [F(1)]
+        for root in (F(0), F(1, 2), F(-1, 2), F(-3), F(2)):
+            poly = _qmul(poly, [-root, F(1)])
+        assert _rational_roots(poly) == [F(0), F(1, 2), F(-1, 2), F(2), F(-3)]
+
+    def test_large_coefficients(self):
+        # roots whose numerators and denominators have 25 digits
+        big = F(10**24 + 7, 10**24 + 9)
+        poly = _qmul([-big, F(1)], [big, F(1)])  # x^2 - big^2
+        assert _rational_roots(poly) == [big, -big]
+        assert _rational_roots([F(-(10**24 + 7)), F(0), F(1)]) == []
+
+    @given(
+        st.dictionaries(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            st.integers(1, 3),
+            max_size=4,
+        ),
+        st.fractions(min_value=0, max_value=50, max_denominator=10).filter(lambda c: c > 0),
+    )
+    def test_roots_in_field_recovers_multiplicities(self, chosen, c):
+        poly = [c, F(0), F(1)]  # x^2 + c: no rational root
+        for root, mult in chosen.items():
+            for _ in range(mult):
+                poly = _qmul(poly, [-root, F(1)])
+        got = roots_in_field([RATIONALS.element(x) for x in poly], RATIONALS)
+        assert {r.as_rational(): m for r, m in got} == chosen
+        assert len(got) == len(chosen)
 
 
 class TestPolynomialHelpers:

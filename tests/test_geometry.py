@@ -234,6 +234,27 @@ class TestExtractProfile:
         assert dict(profile.t) == {5: 4}
         assert local_h(profile).h == 0
 
+    def test_large_coordinate_pencil(self):
+        # six members of the pencil through (-4,-6,5), (-5,7,8), (7,4,4),
+        # (-5,7,1), with coefficients up to about 2*10^6
+        members = [
+            conic(Q, *coeffs)
+            for coeffs in (
+                (155224, -134841, 17342, -81867, -78039, -78039),
+                (105012, -99597, 34684, -72355, -34684, -69368),
+                (48820, -48207, 21344, -37497, -12006, -36018),
+                (69284, -70017, 34684, -56463, -13572, -54288),
+                (159812, -163950, 86710, -135198, -26013, -130065),
+                (2241956, -2324409, 1283308, -1946103, -312156, -1872936),
+            )
+        ]
+        base = [point(Q, *p) for p in ((-4, -6, 5), (-5, 7, 8), (7, 4, 4), (-5, 7, 1))]
+        assert sorted(p.sort_key() for p, _ in intersect(members[0], members[5])) == sorted(
+            p.sort_key() for p in base
+        )
+        profile = extract_profile(GeometricConfiguration(Q, tuple(members)))
+        assert dict(profile.t) == {6: 4}
+
     def test_mixed_classes_rejected(self):
         cfg = GeometricConfiguration(Q, (line(Q, 1, 0, 0), CIRCLE2))
         with pytest.raises(MixedClassesError):
