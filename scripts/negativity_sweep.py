@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
 """Sweep the exact H-minimum over feasible conic profiles per curve count.
 
-For each k the enumeration walks every multiplicity vector satisfying the
+For each k the search covers every multiplicity vector satisfying the
 incidence identity with no k-fold point, once filtered through the integer
 positivity quadratic and once raw.  The raw combinatorial minimum dives
 below -9/2 for larger k (t_9 = 17 on k = 18 reaches -81/17), while the
 filtered minimum stays above it; the filter is doing real work there.
+With --limit N, a k with more than N profiles is walked profile by profile
+up to the N-th, and its columns are marked * as minima over those only.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from harbourne.hconst import format_decimal, local_h
+from harbourne.hconst import format_decimal
 from harbourne.profiles import CONICS
-from harbourne.search import Filter, SearchQuery, enumerate_profiles, minimize_h
+from harbourne.search import Filter, SearchQuery, SearchResult, minimize_h
+
+
+def _column(result: SearchResult, width: int) -> str:
+    """Exact and decimal minimum, starred when truncated."""
+    h = result.min_h
+    text = "none" if h is None else f"{h} {format_decimal(h, 3)}"
+    return text.rjust(width) + (" *" if result.truncated else "  ")
 
 
 def sweep(kmin: int, kmax: int, limit: int | None):
-    print(f"{'k':>3}  {'feasible':>9}  {'min_h (lt-filtered)':>22}  {'raw min_h':>14}")
+    print(f"{'k':>3}  {'feasible':>9}  {'min_h (lt-filtered)':>22}  {'raw min_h':>16}")
     for k in range(kmin, kmax + 1):
         filtered = minimize_h(
             SearchQuery(
@@ -29,20 +38,12 @@ def sweep(kmin: int, kmax: int, limit: int | None):
                 limit=limit,
             )
         )
-        raw = min(
-            (
-                local_h(p).h
-                for p in enumerate_profiles(SearchQuery(CONICS, k, require_tk_zero=True))
-            ),
-            default=None,
-        )
+        raw = minimize_h(SearchQuery(CONICS, k, require_tk_zero=True, limit=limit))
         fmin = filtered.min_h
-        mark = " *" if filtered.truncated else ""
         assert fmin is None or fmin >= Fraction(-9, 2), "filtered minimum broke -9/2"
         print(
             f"{k:>3}  {filtered.enumerated_count:>9}  "
-            f"{str(fmin):>14} {format_decimal(fmin, 3):>7}  "
-            f"{str(raw):>8} {format_decimal(raw, 3):>5}{mark}"
+            f"{_column(filtered, 22)}{_column(raw, 16)}"
         )
 
 
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kmin", type=int, default=3)
     parser.add_argument("--kmax", type=int, default=9)
-    parser.add_argument("--limit", type=int, default=2_000_000)
+    parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args(argv)
     sweep(args.kmin, args.kmax, args.limit)
     return 0

@@ -79,6 +79,14 @@ def _pdivmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
     return _pstrip(quot), _pstrip(rem)
 
 
+def _pgcd(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
+    """Euclid: a greatest common divisor (not made monic)."""
+    r0, r1 = _pstrip(list(a)), _pstrip(list(b))
+    while r1:
+        r0, r1 = r1, _pdivmod(r0, r1)[1]
+    return r0
+
+
 def _pxgcd(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat], list[Rat]]:
     """Extended Euclid: (g, u, v) with u*a + v*b = g."""
     r0, r1 = _pstrip(list(a)), _pstrip(list(b))
@@ -413,10 +421,13 @@ def roots_in_field(
     if len(poly) == 1:
         return []
     if field.is_rational:
-        distinct = _rational_roots([c.coeffs[0] for c in poly])
-        roots = [field.element(r) for r in distinct]
-    else:
-        roots = _number_field_roots(poly, field)
+        rats = [c.coeffs[0] for c in poly]
+        ints = _primitive(rats)
+        return [
+            (field.element(r), _multiplicity(ints, r.numerator, r.denominator))
+            for r in _rational_roots(rats)
+        ]
+    roots = _number_field_roots(poly, field)
     out = []
     for root in roots:
         mult = 0
@@ -454,17 +465,10 @@ def _rational_roots(coeffs: Sequence[Rat]) -> list[Rat]:
             poly.pop(0)
     if len(poly) <= 1:
         return roots
-    g, _, _ = _pxgcd(poly, [c * i for i, c in enumerate(poly)][1:])
+    g = _pgcd(poly, [c * i for i, c in enumerate(poly)][1:])
     if len(g) > 1:
         poly, _ = _pdivmod(poly, g)
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in poly]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
+    ints = _primitive(poly)
     deriv = [c * i for i, c in enumerate(ints)][1:]
     a_max, b_max = abs(ints[0]), abs(ints[-1])
 
@@ -490,6 +494,40 @@ def _rational_roots(coeffs: Sequence[Rat]) -> list[Rat]:
             found.append(Rat(r1, t1))
     found.sort(key=lambda c: (abs(c.numerator), c.denominator, c < 0))
     return roots + found
+
+
+def _primitive(coeffs: Sequence[Rat]) -> list[int]:
+    """The integer polynomial with content 1 proportional to a nonzero one."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    return [c // content for c in ints]
+
+
+def _multiplicity(ints: Sequence[int], a: int, b: int) -> int:
+    """How often b*x - a (b > 0, gcd(a, b) = 1) divides an integer polynomial.
+
+    By Gauss's lemma b*x - a divides it over Q only if it does over Z, so
+    synthetic division over Z stops at the first coefficient b does not
+    divide, or at a nonzero remainder.
+    """
+    mult = 0
+    while True:
+        quot, carry = [], 0
+        for c in reversed(ints[1:]):
+            q, r = divmod(c + carry, b)
+            if r:
+                return mult
+            quot.append(q)
+            carry = a * q
+        if ints[0] + carry:
+            return mult
+        mult += 1
+        ints = quot[::-1]
 
 
 def _primes() -> Iterable[int]:

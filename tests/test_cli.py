@@ -1,14 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import harbourne
+
+# The subprocess runs the package these tests import, installed or not.
+SRC = str(Path(harbourne.__file__).resolve().parents[1])
 
 
 def run_cli(args, cwd=None, timeout=None):
     cmd = [sys.executable, "-m", "harbourne", *args]
-    return subprocess.run(cmd, cwd=cwd, text=True, capture_output=True, timeout=timeout)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        cmd, cwd=cwd, env=env, text=True, capture_output=True, timeout=timeout
+    )
 
 
 @pytest.fixture

@@ -379,6 +379,47 @@ class TestRationalRootsOracle:
         assert len(got) == len(chosen)
 
 
+def _multiplicities_by_kx_divmod(poly):
+    """Each rational root's multiplicity by repeated division over K[x]."""
+    f = [RATIONALS.element(c) for c in poly]
+    out = []
+    for root in _rational_roots(poly):
+        x = RATIONALS.element(root)
+        mult, work = 0, f
+        while True:
+            quot, rem = kx_divmod(work, [-x, RATIONALS.one()])
+            if rem:
+                break
+            mult, work = mult + 1, quot
+        out.append((x, mult))
+    return out
+
+
+class TestRationalMultiplicities:
+    def test_matches_kx_divmod_loop(self):
+        rng = random.Random(20151021)
+        repeated = zero = 0
+        for _ in range(200):
+            poly = _random_root_poly(rng)
+            want = _multiplicities_by_kx_divmod(poly)
+            got = roots_in_field([RATIONALS.element(c) for c in poly], RATIONALS)
+            assert got == want, poly
+            repeated += any(m > 1 for _, m in got)
+            zero += any(r.is_zero() for r, _ in got)
+        assert repeated > 20 and zero > 20
+
+    def test_high_multiplicity_and_zero_root(self):
+        # x^3 (2x - 3)^4 (x + 5): integer synthetic division by b*x - a
+        poly = [F(0)] * 3 + [F(1)]
+        for _ in range(4):
+            poly = _qmul(poly, [F(-3), F(2)])
+        poly = _qmul(poly, [F(5), F(1)])
+        got = roots_in_field([RATIONALS.element(c / 7) for c in poly], RATIONALS)
+        assert [(r.as_rational(), m) for r, m in got] == [
+            (F(0), 3), (F(3, 2), 4), (F(-5), 1)
+        ]
+
+
 class TestPolynomialHelpers:
     def test_divmod(self):
         one = RATIONALS.one()

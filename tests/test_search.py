@@ -1,15 +1,26 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
+from harbourne.constraints import QuadraticConstraint, holds_over_integers
 from harbourne.hconst import local_h
-from harbourne.profiles import CONICS, ConfigurationProfile, LINES, ONE_ONE
+from harbourne.profiles import (
+    CONICS,
+    ConfigurationProfile,
+    LINES,
+    ONE_ONE,
+    plane_curves,
+)
 from harbourne.search import (
     Filter,
     SearchQuery,
     SearchQueryError,
+    SearchResult,
+    _lt_holds,
+    _passes,
     enumerate_profiles,
     minimize_h,
 )
@@ -229,3 +240,122 @@ class TestNegativityBoundSweep:
         assert len(result.argmin_profiles) == 14
         for p in result.argmin_profiles:
             assert p.t_of(4) == 0 and p.t_of(5) == 0
+
+
+def walk_oracle(query: SearchQuery) -> SearchResult:
+    """minimize_h by visiting every enumerated profile, stopping at limit."""
+    enumerated = surviving = 0
+    best = None
+    argmins = []
+    for profile in enumerate_profiles(query):
+        if query.limit is not None and enumerated >= query.limit:
+            return SearchResult(best, tuple(argmins), enumerated, surviving, True)
+        enumerated += 1
+        if not _passes(profile, query.filters):
+            continue
+        surviving += 1
+        h = local_h(profile).h
+        if best is None or h < best:
+            best, argmins = h, [profile]
+        elif h == best:
+            argmins.append(profile)
+    return SearchResult(best, tuple(argmins), enumerated, surviving)
+
+
+def hirz11_walk(k: int):
+    """(enumerated, filtered, min h, argmin t-vectors) of the (1,1)-curve
+    search with tk0 and hirz11, by a walk over plain dicts."""
+    out = [0, 0, None, []]
+
+    def walk(r, rem, f0, f1, deficit, t):
+        if r == 2:
+            out[0] += 1
+            f0, f1 = f0 + rem, f1 + 2 * rem
+            if 9 + k + rem + t.get(3, 0) < deficit:
+                return
+            out[1] += 1
+            h = Fraction(2 * k - f1, f0)
+            if out[2] is None or h < out[2]:
+                out[2], out[3] = h, []
+            if h == out[2]:
+                out[3].append({**t, 2: rem} if rem else t)
+            return
+        part = comb(r, 2)
+        for c in range(rem // part, -1, -1):
+            walk(
+                r - 1, rem - c * part, f0 + c, f1 + r * c,
+                deficit + max(r - 4, 0) * c, {**t, r: c} if c else t,
+            )
+
+    walk(k - 1, 2 * comb(k, 2), 0, 0, 0, {})
+    return tuple(out)
+
+
+LT = frozenset({Filter.LT_QUADRATIC})
+HIRZ = frozenset({Filter.HIRZEBRUCH_11})
+# k = 3 with tk0 leaves r_max = 2: the only t-vector is t_2 = budget.
+DP_QUERIES = (
+    [SearchQuery(LINES, k, tk0) for k in range(3, 10) for tk0 in (False, True)]
+    + [SearchQuery(CONICS, k, tk0) for k in range(3, 9) for tk0 in (False, True)]
+    + [SearchQuery(CONICS, k, True, LT) for k in range(3, 9)]
+    + [SearchQuery(ONE_ONE, k, tk0) for k in range(3, 10) for tk0 in (False, True)]
+    + [SearchQuery(ONE_ONE, k, True, HIRZ) for k in range(4, 10)]
+    + [SearchQuery(plane_curves(3), k, tk0) for k in range(3, 7) for tk0 in (False, True)]
+)
+
+
+class TestMomentStateSearch:
+    """minimize_h against the profile walk: equal results, argmin order
+    included."""
+
+    @pytest.mark.parametrize(
+        "query",
+        DP_QUERIES,
+        ids=lambda q: f"{q.curve_class.label()}-k{q.k}"
+        f"{'-tk0' if q.require_tk_zero else ''}"
+        + "".join(f"-{f.value}" for f in q.filters),
+    )
+    def test_matches_walk(self, query):
+        assert minimize_h(query) == walk_oracle(query)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            SearchQuery(CONICS, 7, True, LT),
+            SearchQuery(ONE_ONE, 8, True, HIRZ),
+            SearchQuery(LINES, 8),
+        ],
+    )
+    def test_limit_boundaries(self, query):
+        count = sum(1 for _ in enumerate_profiles(query))
+        for limit in (count - 1, count, count + 1, 0):
+            limited = SearchQuery(
+                query.curve_class, query.k, query.require_tk_zero, query.filters, limit
+            )
+            result = minimize_h(limited)
+            assert result == walk_oracle(limited)
+            assert result.truncated == (limit < count)
+            assert result.enumerated_count == min(limit, count)
+
+    def test_hirz11_where_it_rejects(self):
+        # k = 14 is the smallest k at which hirz11 rejects t-vectors
+        result = minimize_h(SearchQuery(ONE_ONE, 14, True, HIRZ))
+        enumerated, filtered, best, argmins = hirz11_walk(14)
+        assert filtered < enumerated
+        assert (result.enumerated_count, result.filtered_count) == (enumerated, filtered)
+        assert result.min_h == best
+        assert [dict(p.t) for p in result.argmin_profiles] == argmins
+
+    def test_lt_vertex_test_matches_holds_over_integers(self):
+        rng = random.Random(20150622)
+        verdicts = set()
+        for _ in range(20000):
+            k = rng.randint(3, 30)
+            f0 = rng.randint(1, 300)
+            f1 = rng.randint(2 * f0, 12 * f0)
+            t2 = rng.randint(0, f0)
+            q = QuadraticConstraint(2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2))
+            want = holds_over_integers(q).holds
+            assert _lt_holds(k, f0, f1, t2) == want, (k, f0, f1, t2)
+            verdicts.add(want)
+        assert verdicts == {True, False}
