@@ -10,11 +10,15 @@ Intersection points are only ever reported with coordinates in the
 declared field; there is no automatic field extension.  When the
 in-field points do not account for the full Bezout count the operation
 fails with IntersectionOutsideField, and the caller picks a larger field
-explicitly.  Conic pairs are intersected by pencil degeneration (find a
-degenerate member over the field, split it into lines); a resultant
-projection fallback covers the cases where no member splits, and exact
-local multiplicities come from the root multiplicities of the second
-conic pulled back through a rational parametrization of the first.
+explicitly.  Conic pairs are intersected by pencil degeneration: the
+degenerate members are split into lines over the field in turn, and the
+lines met with the first conic, until four distinct common points are
+found; in the transversal case the first member that splits gives all
+four.  A resultant projection fallback covers the cases where no member
+splits.  Four distinct in-field points are simple by Bezout; only when
+fewer are found (tangency, or points outside the field) do exact local
+multiplicities come from the root multiplicities of the second conic
+pulled back through a rational parametrization of the first.
 """
 
 from __future__ import annotations
@@ -479,6 +483,9 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
             found=[],
             expected=4,
         )
+    if len(base) == 4:
+        # four distinct common points exhaust the Bezout count, so each is simple
+        return [(pt, 1) for pt in sorted(base, key=ProjPoint.sort_key)]
     p0 = base[0]
     comps = _conic_parametrization(f, p0)
     quartic = _eval_conic_on_forms(g, comps)
@@ -523,13 +530,11 @@ def _pencil_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
         )
 
     # det(lam*Mf + mu*Mg) interpolated as a binary cubic in (lam, mu)
-    one, zero = field.one(), field.zero()
-    d10 = det3(member(one, zero))
-    d01 = det3(member(zero, one))
+    one = field.one()
     d11 = det3(member(one, one))
     d21 = det3(member(one + one, one))
     # c3 lam^3 + c2 lam^2 mu + c1 lam mu^2 + c0 mu^3
-    c3, c0 = d10, d01
+    c3, c0 = det3(mf), det3(mg)
     # d11 = c3+c2+c1+c0 ; d21 = 8c3+4c2+2c1+c0
     s1 = d11 - c3 - c0
     s2 = d21 - c3 * 8 - c0
@@ -550,6 +555,8 @@ def _pencil_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
             for pt, _m in hits:
                 if g.evaluate(pt).is_zero() and pt not in out:
                     out.append(pt)
+        if len(out) == 4:
+            break
     return out
 
 
@@ -744,7 +751,10 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
         raise MixedClassesError("curves must be all lines or all conics")
     cls = LINES if forms == {CurveForm.LINE} else CONICS
 
-    points: dict = {}
+    # curves i and j both pass through a point exactly when intersect(i, j)
+    # returns it (a point outside the field has already raised), so the
+    # pairs alone give each point's multiplicity r
+    on_curves: dict = {}
     for i, j in combinations(range(len(curves)), 2):
         for pt, mult in intersect(curves[i], curves[j]):
             if mult > 1:
@@ -753,13 +763,11 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
                     pair=(i, j),
                     point=pt,
                 )
-            points.setdefault(pt.sort_key(), pt)
+            on_curves.setdefault(pt.sort_key(), set()).update((i, j))
 
     t: dict[int, int] = {}
-    for pt in points.values():
-        r = sum(1 for c in curves if incident(c, pt))
-        if r < 2:
-            raise AssertionError("intersection point on fewer than two curves")
+    for members in on_curves.values():
+        r = len(members)
         t[r] = t.get(r, 0) + 1
 
     profile = ConfigurationProfile(cls, len(curves), t)

@@ -86,3 +86,45 @@ def quadric_profiles(min_k=4, max_k=9, require_tk_zero=True):
     return feasible_profiles(
         classes=(ONE_ONE,), min_k=min_k, max_k=max_k, require_tk_zero=require_tk_zero
     )
+
+
+# Seven integer points, no three on a line and no six on a conic, so the
+# conics through their 5-subsets are irreducible.
+SEVEN_POINTS = (
+    (-2, -2, 1),
+    (-2, -1, 1),
+    (0, 1, 1),
+    (1, -1, 1),
+    (1, 0, 1),
+    (2, 0, 1),
+    (2, 1, 1),
+)
+
+
+def conic_through(points):
+    """Integer coefficients (X^2, Y^2, Z^2, XY, XZ, YZ) of the conic through
+    five integer points, no three of them collinear."""
+
+    def join(p, q):
+        return (
+            p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0],
+        )
+
+    def product(l1, l2):
+        a, b, c = l1
+        d, e, f = l2
+        return (a * d, b * e, c * f, a * e + b * d, a * f + c * d, b * f + c * e)
+
+    def value(coeffs, p):
+        a, b, c, d, e, f = coeffs
+        x, y, z = p
+        return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
+
+    p = points
+    # two line pairs through the first four points span their pencil
+    d1 = product(join(p[0], p[1]), join(p[2], p[3]))
+    d2 = product(join(p[0], p[2]), join(p[1], p[3]))
+    v1, v2 = value(d1, p[4]), value(d2, p[4])
+    return tuple(v1 * y - v2 * x for x, y in zip(d1, d2))

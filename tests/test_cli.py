@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import SEVEN_POINTS, conic_through
 
 import harbourne
 
@@ -13,13 +15,21 @@ import harbourne
 SRC = str(Path(harbourne.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd=None, timeout=None):
-    cmd = [sys.executable, "-m", "harbourne", *args]
+def run_python(args, cwd=None, timeout=None):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        cmd, cwd=cwd, env=env, text=True, capture_output=True, timeout=timeout
+        [sys.executable, *args],
+        cwd=cwd,
+        env=env,
+        text=True,
+        capture_output=True,
+        timeout=timeout,
     )
+
+
+def run_cli(args, cwd=None, timeout=None):
+    return run_python(["-m", "harbourne", *args], cwd=cwd, timeout=timeout)
 
 
 @pytest.fixture
@@ -162,6 +172,32 @@ def test_geom_pencil(pencil_geometry_doc):
     }
     assert F(str(data["analysis"]["h_report"]["h"])) == 0
     assert data["analysis"]["case"]["tag"] == "TK4"
+
+
+def test_rational_geom_does_not_import_sympy(tmp_path):
+    # sympy is imported lazily by the number-field root finder only; the
+    # rational path must not pay for that import
+    doc = tmp_path / "seven-point-conics.json"
+    curves = [
+        {"type": "conic", "coeffs": list(conic_through(five))}
+        for five in combinations(SEVEN_POINTS, 5)
+    ]
+    doc.write_text(json.dumps({"field": {"kind": "rational"}, "curves": curves}))
+    code = (
+        "import sys\n"
+        "from harbourne.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('sympy loaded:', 'sympy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    r = run_python(["-c", code, "geom", str(doc), "--machine"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["analysis"]["profile"]["t"] == {
+        "2": 72,
+        "3": 11,
+        "15": 7,
+    }
+    assert r.stderr == "sympy loaded: False\n"
 
 
 def test_geom_number_field_document(tmp_path):

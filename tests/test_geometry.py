@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from conftest import SEVEN_POINTS, conic_through
 
 from harbourne import geometry as G
 from harbourne.exactfield import ExactField, RATIONALS
@@ -436,6 +438,33 @@ class TestConicPencilGroundTruth:
             assert sum(m for _, m in result) == 4
             done += 1
 
+    def _pencil_pairs(self, rng, field, count):
+        pairs = []
+        while len(pairs) < count:
+            pts = _random_field_points(rng, field)
+            if pts is None:
+                continue
+            members = self._two_members(rng, field, pts)
+            if members is not None:
+                pairs.append(members)
+        return pairs
+
+    def test_rational_pencils_match_parametrization(self):
+        for f, g in self._pencil_pairs(random.Random(5150), Q, 15):
+            _assert_matches_parametrization(f, g)
+            _assert_matches_parametrization(g, f)
+
+    @pytest.mark.parametrize(
+        "min_poly",
+        [(-5, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1)],
+        ids=["sqrt5", "cbrt2", "zeta5"],
+    )
+    def test_number_field_pencils_match_parametrization(self, min_poly):
+        field = ExactField(tuple(F(c) for c in min_poly))
+        for f, g in self._pencil_pairs(random.Random(len(min_poly)), field, 2):
+            _assert_matches_parametrization(f, g)
+            _assert_matches_parametrization(g, f)
+
 
 class TestCremonaMaps:
     def test_point_substitution(self):
@@ -549,3 +578,131 @@ class TestQuadricCorrespondence:
             u, v = quadric_image_point(p)
             assert form1.evaluate(u, v).is_zero()
             assert form2.evaluate(u, v).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# conic pairs against the parametrization route; path and incidence checks
+
+# lines through no coordinate vertex, no two meeting on a coordinate line,
+# so their Cremona images meet transversally
+CREMONA_LINES = ((2, 3, 3), (3, 4, 5), (2, -1, 7), (1, 2, 3), (6, 5, -3), (5, 3, 1), (1, 1, -1))
+
+
+def _parametrized_intersection(f, g):
+    """Reference route: parametrize f from the first in-field common point
+    and read every common point off g pulled back to a binary quartic."""
+    base = G._pencil_candidates(f, g) or G._resultant_candidates(f, g)
+    comps = G._conic_parametrization(f, base[0])
+    roots, found = G.binary_form_roots(G._eval_conic_on_forms(g, comps), f.field)
+    assert found == 4
+    pts = [
+        (ProjPoint(tuple(G.bf_eval(comp, t, u) for comp in comps)), m)
+        for (t, u), m in roots
+    ]
+    return sorted(pts, key=lambda pm: pm[0].sort_key())
+
+
+def _assert_matches_parametrization(f, g):
+    got, want = intersect(f, g), _parametrized_intersection(f, g)
+    assert len(got) == len(want)
+    assert all(p == q for (p, _), (q, _) in zip(got, want))
+    assert [m for _, m in got] == [m for _, m in want]
+    assert [p.sort_key() for p, _ in got] == [q.sort_key() for q, _ in want]
+
+
+def _cremona_image_conics():
+    return [cremona_map_curve(line(Q, *abc)) for abc in CREMONA_LINES]
+
+
+def _random_field_points(rng, field):
+    """Four points with coordinates drawn from the whole field, or None when
+    two coincide or three are collinear."""
+    pts = []
+    while len(pts) < 4:
+        coords = tuple(
+            field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+            for _ in range(3)
+        )
+        if all(c.is_zero() for c in coords):
+            continue
+        pts.append(ProjPoint(coords))
+    if any(p == q for p, q in combinations(pts, 2)) or any(
+        G.det3((a.coords, b.coords, c.coords)).is_zero()
+        for a, b, c in combinations(pts, 3)
+    ):
+        return None
+    return pts
+
+
+def test_cremona_image_conics_match_parametrization():
+    for f, g in combinations(_cremona_image_conics(), 2):
+        _assert_matches_parametrization(f, g)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(G, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(G, name, counting)
+    return calls
+
+
+class TestConicConicPath:
+    def test_four_base_points_from_one_split_member(self, monkeypatch):
+        splits = _counted(monkeypatch, "_split_degenerate")
+        params = _counted(monkeypatch, "_conic_parametrization")
+        pts = intersect(CIRCLE2, HYPER)
+        assert len(pts) == 4 and all(m == 1 for _, m in pts)
+        assert len(splits) == 1
+        assert params == []
+
+    def test_osculating_pair_uses_parametrization(self, monkeypatch):
+        params = _counted(monkeypatch, "_conic_parametrization")
+        osculating = conic(Q, 1, 1, 1, 1, -2, -2)
+        assert intersect(CIRCLE2, osculating) == [(point(Q, 1, 1, 1), 4)]
+        assert len(params) == 1
+
+    def test_tangential_pair_uses_parametrization(self, monkeypatch):
+        params = _counted(monkeypatch, "_conic_parametrization")
+        a = conic(GAUSS, 1, 1, -1, 0, 0, 0)
+        b = conic(GAUSS, 1, 1, -3, 0, 0, 0)
+        assert [m for _, m in intersect(a, b)] == [2, 2]
+        assert len(params) == 1
+
+
+def _incidence_t(curves):
+    """t-vector counted directly: every curve tested at every point that
+    some pair of curves shares."""
+    points = {}
+    for a, b in combinations(curves, 2):
+        for p, _ in intersect(a, b):
+            points.setdefault(p.sort_key(), p)
+    t = {}
+    for p in points.values():
+        r = sum(incident(c, p) for c in curves)
+        t[r] = t.get(r, 0) + 1
+    return t
+
+
+class TestExtractProfileIncidence:
+    def _check(self, curves):
+        profile = extract_profile(GeometricConfiguration(Q, tuple(curves)))
+        assert dict(profile.t) == _incidence_t(curves)
+
+    def test_random_lines(self):
+        rng = random.Random(2718)
+        for _ in range(20):
+            self._check(_random_lines(rng, rng.randint(2, 10)))
+
+    def test_seven_point_conics(self):
+        self._check([conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)])
+
+    def test_pencil(self):
+        self._check([pencil_member(*lm) for lm in ((1, 0), (0, 1), (1, 2), (2, 1), (1, -1))])
+
+    def test_cremona_image(self):
+        self._check(_cremona_image_conics())
