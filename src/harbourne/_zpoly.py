@@ -1,0 +1,365 @@
+"""Integer polynomials: factoring over Z and norms down to Q[x].
+
+Only the number-field code imports this module, and lazily, so the
+rational paths never load it.  Polynomials are lists of coefficients,
+low to high.
+
+Factoring over Z is the Zassenhaus algorithm (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 14-15).  Of the first few odd
+primes p that keep f square-free of the same degree, the one giving the
+fewest factors mod p is used.  The factors come from distinct-degree
+splitting, then Cantor-Zassenhaus equal-degree splitting with a
+fixed-seed generator, so the output is deterministic.  A balanced tree of
+quadratic Hensel steps (Algorithm 15.10) lifts them to a modulus
+p^(2^e) > 2 |lc(f)| 2^n ||f||_2.  Every integer factor's associate with
+leading coefficient lc(f) then has coefficients below half the modulus,
+so subsets of lifted factors are recombined by exact trial division.
+
+The norm of g in K[x], K = Q[theta]/(m), is Res_theta(m, g): the
+determinant of multiplication by g(x0, theta) on K, taken at
+deg_x(g) * deg(m) + 1 integers x0 and interpolated (Trager 1976).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from random import Random
+from typing import Sequence
+
+from .exactfield import _primes, _primitive, _pstrip
+
+_PRIMES_TRIED = 5
+_SEED = 20150923
+
+
+# ---------------------------------------------------------------------------
+# polynomials mod m, coefficients in [0, m)
+
+
+def _add(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _pstrip([c % m for c in out])
+
+
+def _sub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _pstrip([c % m for c in out])
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod m; lc(b) must be a unit mod m."""
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], _pstrip([c % m for c in rem])
+    inv = pow(b[-1], -1, m)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db] * inv % m
+        quot[i] = c
+        if c:
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return _pstrip(quot), _pstrip([c % m for c in rem[:db]])
+
+
+def _monic(a: Sequence[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p (b nonzero)."""
+    a, b = _pstrip([c % p for c in a]), _pstrip([c % p for c in b])
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _bezout(g: Sequence[int], h: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s g + t h = 1 mod p, deg s < deg h and deg t < deg g,
+    for coprime g and h with h monic."""
+    r0, r1, s0, s1 = list(g), list(h), [1], []
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
+    s = _divmod(_mul(s0, [pow(r0[0], -1, p)], p), h, p)[1]
+    t = _divmod(_sub([1], _mul(s, g, p), p), h, p)[0]
+    return s, t
+
+
+def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    result, base = [1], _divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, base, p), f, p)[1]
+        base = _divmod(_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
+# factoring mod p
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g_d, d): g_d is the product of the degree-d monic irreducible
+    factors of the square-free monic f mod p (Algorithm 14.3)."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
+    """The degree-d monic irreducible factors of f mod p, an odd prime
+    (Cantor-Zassenhaus, Algorithm 14.8 repeated)."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _pstrip([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        g = _gcd(f, a, p)
+        if len(g) == 1:
+            b = _powmod(a, (p**d - 1) // 2, f, p)
+            g = _gcd(f, _sub(b, [1], p), p)
+        if 1 < len(g) < len(f):
+            rest = _divmod(f, g, p)[0]
+            return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
+
+
+def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]]:
+    """A prime p and the monic irreducible factors of f mod p."""
+    best = None
+    tried = 0
+    for p in _primes():
+        if p == 2 or f[-1] % p == 0:
+            continue
+        fp = _monic([c % p for c in f], p)
+        deriv = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
+        if not deriv or len(_gcd(fp, deriv, p)) > 1:
+            continue
+        split = _distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for g, d in split)
+        if best is None or count < best[0]:
+            best = (count, p, split)
+        tried += 1
+        if count == 1 or tried == _PRIMES_TRIED:
+            break
+    _, p, split = best
+    rng = Random(_SEED)
+    return p, [q for g, d in split for q in _equal_degree(g, d, p, rng)]
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting and recombination
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Algorithm 15.10: from f = g h and s g + t h = 1 mod sqrt(m), with h
+    monic, the same relations mod m."""
+    e = _sub(f, _mul(g, h, m), m)
+    q, r = _divmod(_mul(s, e, m), h, m)
+    g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
+    h = _add(h, r, m)
+    b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
+    c, d = _divmod(_mul(s, b, m), h, m)
+    s = _sub(s, d, m)
+    t = _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+    return g, h, s, t
+
+
+def _tree(factors: list[list[int]], p: int) -> list:
+    """[product, left, right, s, t] over halves of factors; leaves [factor]."""
+    if len(factors) == 1:
+        return [factors[0]]
+    half = len(factors) // 2
+    left, right = _tree(factors[:half], p), _tree(factors[half:], p)
+    s, t = _bezout(left[0], right[0], p)
+    return [_mul(left[0], right[0], p), left, right, s, t]
+
+
+def _lift(node: list, target: list[int], m: int) -> None:
+    node[0] = target
+    if len(node) > 1:
+        g, h, node[3], node[4] = _hensel_step(
+            target, node[1][0], node[2][0], node[3], node[4], m
+        )
+        _lift(node[1], g, m)
+        _lift(node[2], h, m)
+
+
+def _leaves(node: list) -> list[list[int]]:
+    return [node[0]] if len(node) == 1 else _leaves(node[1]) + _leaves(node[2])
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over Z, or None when b does not divide a."""
+    if b[0] and a[0] % b[0]:
+        return None
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + db], b[-1])
+        if r:
+            return None
+        quot[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] -= c * bj
+    return quot if not any(rem[:db]) else None
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a square-free primitive f with lc > 0."""
+    n = len(f) - 1
+    if n <= 1:
+        return [f]
+    p, factors = _modular_factors(f)
+    if len(factors) == 1:
+        return [f]
+    lc = f[-1]
+    # m > 2 |lc| 2^n ||f||_2, compared in squares
+    bound_sq = 4 * lc * lc * 4**n * sum(c * c for c in f)
+    m = p
+    tree = _tree(factors, p)
+    while m * m <= bound_sq:
+        m *= m
+        _lift(tree, _mul(f, [pow(lc, -1, m)], m), m)
+    lifted = _leaves(tree)
+
+    out = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [f[-1]]
+            for i in subset:
+                g = _mul(g, lifted[i], m)
+            g = _primitive([c - m if 2 * c > m else c for c in g])
+            quot = _exact_quotient(f, g)
+            if quot is not None:
+                out.append(g)
+                f = quot
+                lifted = [q for i, q in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# public entry points
+
+
+def factor_squarefree(f: Sequence[int]) -> list[list[int]]:
+    """The irreducible factors over Z of a square-free integer polynomial
+    of positive degree.
+
+    Each factor is primitive with a positive leading coefficient.  They
+    come in the order of sympy's ``factor_list``: by degree, then by
+    coefficients from the leading one down.
+    """
+    f = _primitive(f)
+    if f[-1] < 0:
+        f = [-c for c in f]
+    return sorted(_zassenhaus(f), key=lambda q: (len(q), q[::-1]))
+
+
+def norm(g: Sequence[Sequence[Fraction]], m: Sequence[Fraction]) -> list[Fraction]:
+    """Res_theta(m, g) in Q[x] for monic m and g in (Q[theta]/(m))[x].
+
+    ``g`` lists the coefficient vectors (each of length deg m) of the
+    powers of x.  The norm has degree at most N = deg_x(g) deg(m); its
+    values at x0 = 0..N are determinants of multiplication matrices, and
+    Newton's divided differences rebuild it.
+    """
+    d = len(m) - 1
+    points = (len(g) - 1) * d + 1
+    values = []
+    for x0 in range(points):
+        v = [Fraction(0)] * d
+        power = 1
+        for coeffs in g:
+            for i, c in enumerate(coeffs):
+                v[i] += c * power
+            power *= x0
+        values.append(_det(_mult_matrix(v, m)))
+    # divided differences at 0, 1, ..., N; spacing is integral
+    coef = list(values)
+    for j in range(1, points):
+        for i in range(points - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    # Newton form to monomials, Horner from the innermost term
+    out = [coef[-1]]
+    for i in range(points - 2, -1, -1):
+        # out * (x - i) + coef[i]
+        nxt = [Fraction(0)] + out
+        for j, c in enumerate(out):
+            nxt[j] -= i * c
+        nxt[0] += coef[i]
+        out = nxt
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mult_matrix(v: list[Fraction], m: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Columns v, theta v, ..., theta^(d-1) v reduced modulo monic m."""
+    d = len(m) - 1
+    cols = [v]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([(prev[i - 1] if i else 0) - top * m[i] for i in range(d)])
+    return cols
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over Q."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        piv = a[col][col]
+        det *= piv
+        for r in range(col + 1, n):
+            factor = a[r][col] / piv
+            if factor:
+                for c in range(col, n):
+                    a[r][c] -= factor * a[col][c]
+    return det

@@ -73,8 +73,6 @@ def _case_payload(case: CaseBound) -> dict:
     return {
         "tag": case.case_tag.value,
         "bound": _rat(case.bound),
-        "alt_bound": _rat(case.alt_bound),
-        "diverges": case.diverges,
         "provenance": case.provenance,
     }
 
@@ -160,10 +158,6 @@ def _print_analysis(payload: dict, out) -> None:
     line = f"case: {case['tag']}"
     if case["bound"] is not None:
         line += f" bound={case['bound']}"
-    if case["alt_bound"] is not None:
-        line += f" alt_bound={case['alt_bound']}"
-        if case["diverges"]:
-            line += " (forms diverge)"
     print(line, file=out)
     print(f"  provenance: {case['provenance']}", file=out)
     for name, data in payload.get("constraints", {}).items():

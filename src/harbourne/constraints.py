@@ -73,18 +73,11 @@ class CaseTag(Enum):
 
 @dataclass(frozen=True)
 class CaseBound:
-    """Negativity bound attached to a t_k case of a conic configuration.
-
-    ``alt_bound`` carries the alternative closed form of the TK2 chain
-    bound whose derivation is not settled; ``diverges`` flags when the
-    two forms disagree on the given profile.
-    """
+    """Negativity bound attached to a t_k case of a conic configuration."""
 
     case_tag: CaseTag
     bound: Fraction | None
     provenance: str
-    alt_bound: Fraction | None = None
-    diverges: bool = False
 
 
 def positivity_quadratic(profile: ConfigurationProfile) -> QuadraticConstraint:
@@ -209,30 +202,27 @@ def classify_conic_case(profile: ConfigurationProfile) -> CaseBound:
 
 
 def _tk2_bound(profile: ConfigurationProfile) -> CaseBound:
+    """h >= (k + t2 - 1)/f0 - 4 for t_k = 2.
+
+    Removing the two k-fold points leaves a (1,1)-curve configuration on
+    the quadric with g0 = f0 - 2 points and g1 = f1 - 2k incidences, so
+    h = (4k - f1)/f0 = (2k - g1)/(g0 + 2).  Its Hirzebruch-type inequality
+    gives g1 <= 9 + k - t2 + 4*g0, hence
+    h >= (k + t2 - 9 - 4*g0)/(g0 + 2) = (k + t2 - 1)/f0 - 4.
+    """
     ms = moments(profile)
-    t2 = profile.t_of(2)
-    numer = 4 * profile.k - ms.f1
-    if numer >= 0:
+    if 4 * profile.k - ms.f1 >= 0:
         return CaseBound(
             CaseTag.TK2,
             Fraction(0),
             "strict-transform self-intersection is nonnegative; trivial bound 0",
         )
-    # Removing the two k-fold points yields a (1,1)-curve configuration on
-    # the quadric whose identity is automatic; its Hirzebruch-type
-    # inequality gives g1 <= 9 + k - t2 + 4*g0, bounding (2k - g1)/g0.
     _assert_induced_quadric_valid(profile)
-    denom = ms.f0 - 2  # f0 >= 3 for any validating t_k = 2 profile
-    bound = Fraction(profile.k + t2 - 9, denom) - 4
-    alt = Fraction(-34 + 2 * t2 + ms.f1, denom) - 8
     return CaseBound(
         CaseTag.TK2,
-        bound,
+        Fraction(profile.k + profile.t_of(2) - 1, ms.f0) - 4,
         "chain through the induced (1,1)-configuration and its "
-        "Hirzebruch-type inequality; alt_bound is an unsettled "
-        "alternative closed form, reported for comparison",
-        alt_bound=alt,
-        diverges=bound != alt,
+        "Hirzebruch-type inequality",
     )
 
 

@@ -6,22 +6,22 @@ deg(m) and all arithmetic reduces modulo m.  Equality is coefficient-wise
 after reduction, so it is decidable, which is the whole point: geometric
 predicates downstream never touch floating point.
 
-Irreducibility of m is the caller's responsibility; it is sanity-checked
-for rational roots, which is a complete check up to degree 3 only (a
-product of two irreducible quadratics passes).
+A field is accepted only if m is irreducible over Q: its primitive
+integer form must be square-free with a single irreducible factor over Z.
 
 Root extraction for univariate polynomials over the field is provided in
-:func:`roots_in_field`.  Over Q the rational roots come from a p-adic
-lift: roots modulo a small prime are Newton-lifted to a power of it and
-turned back into fractions by rational reconstruction, in time
-polynomial in the bit size of the coefficients (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 15); the field construction
-check uses the same routine.  Over a number field it is a norm/shift
-argument: shift x by integer multiples of theta until the norm (a
-resultant down to Q[x]) is square-free, factor the norm over Q, and read
-off the in-field roots as the linear gcds.  That rational-field legwork
-(resultants, factoring) is delegated to sympy, imported only there;
-everything in K[x] is done here.
+:func:`roots_in_field`.  Over Q, linear and quadratic polynomials are
+solved directly; otherwise the rational roots come from a p-adic lift:
+roots modulo a small prime are Newton-lifted to a power of it and turned
+back into fractions by rational reconstruction, in time polynomial in
+the bit size of the coefficients (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 15).  Over a number field it is a norm/shift
+argument (Trager 1976): shift x by integer multiples of theta until the
+norm (a resultant down to Q[x]) is square-free, factor the norm over Z,
+and read off the in-field roots as the linear gcds.  The integer
+polynomial work (norms, factoring) lives in :mod:`harbourne._zpoly`,
+imported only by the number-field paths; everything in K[x] is done
+here.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ def _pxgcd(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat], li
     return r0, u0, v0
 
 
+def _squarefree(a: Sequence[Rat]) -> bool:
+    return len(_pgcd(a, [c * i for i, c in enumerate(a)][1:])) == 1
+
+
 def _zippad(a: Sequence[Rat], b: Sequence[Rat]) -> Iterable[tuple[Rat, Rat]]:
     n = max(len(a), len(b))
     for i in range(n):
@@ -130,8 +134,10 @@ class ExactField:
             )
         if coeffs[-1] != 1:
             raise FieldError("min_poly must be monic")
-        if _rational_roots(coeffs):
-            raise FieldError("min_poly has a rational root, hence is reducible")
+        from ._zpoly import factor_squarefree
+
+        if not _squarefree(coeffs) or len(factor_squarefree(_primitive(coeffs))) > 1:
+            raise FieldError("min_poly is reducible over Q")
 
     @property
     def degree(self) -> int:
@@ -423,6 +429,8 @@ def roots_in_field(
     if field.is_rational:
         rats = [c.coeffs[0] for c in poly]
         ints = _primitive(rats)
+        if len(ints) <= 3:
+            return [(field.element(r), m) for r, m in _low_degree_roots(ints)]
         return [
             (field.element(r), _multiplicity(ints, r.numerator, r.denominator))
             for r in _rational_roots(rats)
@@ -492,8 +500,28 @@ def _rational_roots(coeffs: Sequence[Rat]) -> list[Rat]:
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
         if t1 and abs(t1) <= b_max and _eval_homogeneous(ints, r1, t1) == 0:
             found.append(Rat(r1, t1))
-    found.sort(key=lambda c: (abs(c.numerator), c.denominator, c < 0))
+    found.sort(key=_root_order)
     return roots + found
+
+
+def _root_order(c: Rat) -> tuple:
+    return abs(c.numerator), c.denominator, c < 0
+
+
+def _low_degree_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
+    """Rational roots with multiplicities of a linear or quadratic integer
+    polynomial, in :func:`_rational_roots` order."""
+    if len(ints) == 2:
+        return [(Rat(-ints[0], ints[1]), 1)]
+    c, b, a = ints
+    disc = b * b - 4 * a * c
+    root = isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return []
+    if not root:
+        return [(Rat(-b, 2 * a), 2)]
+    pair = sorted((Rat(-b + root, 2 * a), Rat(-b - root, 2 * a)), key=_root_order)
+    return [(r, 1) for r in pair]
 
 
 def _primitive(coeffs: Sequence[Rat]) -> list[int]:
@@ -560,14 +588,12 @@ _SHIFT_ATTEMPTS = 64
 def _number_field_roots(
     poly: list[FieldElement], field: ExactField
 ) -> list[FieldElement]:
-    """Distinct roots in Q[theta]/(m) via the square-free norm trick."""
-    import sympy
+    """Distinct roots in Q[theta]/(m) via the square-free norm trick.
 
-    x, th = sympy.symbols("_x _theta")
-    m_expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * th**i
-        for i, c in enumerate(field.min_poly)
-    )
+    Roots come in the order of the norm's irreducible factors in
+    :func:`harbourne._zpoly.factor_squarefree`.
+    """
+    from . import _zpoly
 
     # square-free part, monic
     work = kx_monic(poly)
@@ -579,34 +605,16 @@ def _number_field_roots(
     theta = field.generator()
     for s in range(_SHIFT_ATTEMPTS):
         shifted = kx_shift(work, theta * (-s))
-        g_expr = sympy.expand(
-            sum(_to_sympy(c, th) * x**i for i, c in enumerate(shifted))
-        )
-        norm = sympy.expand(sympy.resultant(m_expr, g_expr, th))
-        norm_poly = sympy.Poly(norm, x)
-        if sympy.gcd(norm_poly, norm_poly.diff(x)).degree() > 0:
+        norm = _zpoly.norm([c.coeffs for c in shifted], field.min_poly)
+        if not _squarefree(norm):
             continue
         roots = []
-        for factor, _ in sympy.factor_list(norm_poly)[1]:
-            if factor.degree(x) > field.degree:
+        for factor in _zpoly.factor_squarefree(norm):
+            if len(factor) - 1 > field.degree:
                 continue
-            q_kx = [field.element(_from_sympy_rat(c)) for c in reversed(factor.all_coeffs())]
-            h = kx_gcd(shifted, q_kx)
+            h = kx_gcd(shifted, [field.element(c) for c in factor])
             if len(h) == 2:  # linear: x - rho
                 rho = -h[0]
                 roots.append(rho - theta * s)
         return roots
     raise FieldError("could not separate conjugate roots; shift search exhausted")
-
-
-def _to_sympy(elem: FieldElement, th):
-    import sympy
-
-    return sum(
-        sympy.Rational(c.numerator, c.denominator) * th**i
-        for i, c in enumerate(elem.coeffs)
-    )
-
-
-def _from_sympy_rat(value) -> Rat:
-    return Rat(int(value.p), int(value.q))

@@ -23,7 +23,7 @@ pulled back through a rational parametrization of the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
@@ -81,6 +81,7 @@ class ProjPoint:
     """Point of the projective plane; equality is projective."""
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
+    _key: tuple | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coords) != 3:
@@ -104,7 +105,11 @@ class ProjPoint:
         raise AssertionError("unreachable: zero point")
 
     def sort_key(self):
-        return tuple(c.coeffs for c in self.canonical().coords)
+        """Coefficients of the canonical coordinates, computed once."""
+        if self._key is None:
+            key = tuple(c.coeffs for c in self.canonical().coords)
+            object.__setattr__(self, "_key", key)
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):

@@ -200,6 +200,70 @@ def test_rational_geom_does_not_import_sympy(tmp_path):
     assert r.stderr == "sympy loaded: False\n"
 
 
+def test_number_field_geom_does_not_import_sympy(tmp_path):
+    # the number-field root finder factors norms with the package's own
+    # integer code
+    doc = tmp_path / "sqrt5-conics.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "number-field", "min_poly": [-5, 0, 1]},
+                "curves": [
+                    # a pencil through (+-sqrt 5 : +-1 : 1)
+                    {"type": "conic", "coeffs": [1, 1, -6, 0, 0, 0]},
+                    {"type": "conic", "coeffs": [1, -1, -4, 0, 0, 0]},
+                    {"type": "conic", "coeffs": [2, 1, -11, 0, 0, 0]},
+                ],
+            }
+        )
+    )
+    code = (
+        "import sys\n"
+        "from harbourne.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('sympy loaded:', 'sympy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    r = run_python(["-c", code, "geom", str(doc), "--machine"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["analysis"]["profile"]["t"] == {"3": 4}
+    assert r.stderr == "sympy loaded: False\n"
+
+
+def test_geom_resultant_fallback_message(tmp_path):
+    doc = tmp_path / "fallback.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rational"},
+                "curves": [
+                    {"type": "conic", "coeffs": [1, 0, 0, 0, 0, -1]},
+                    {"type": "conic", "coeffs": [1, 1, 2, -1, -2, -1]},
+                ],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "conic pair meets in 1 in-field point(s) of 4" in r.stderr
+
+
+def test_geom_reducible_field_rejected(tmp_path):
+    doc = tmp_path / "reducible.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "number-field", "min_poly": [2, 0, 3, 0, 1]},
+                "curves": [{"type": "line", "coeffs": [1, 0, 0]}],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"], timeout=10)
+    assert r.returncode == 1
+    assert "min_poly is reducible" in r.stderr
+
+
 def test_geom_number_field_document(tmp_path):
     doc = tmp_path / "nf.json"
     doc.write_text(

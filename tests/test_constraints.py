@@ -16,6 +16,7 @@ from harbourne.constraints import (
 )
 from harbourne.hconst import local_h
 from harbourne.profiles import CONICS, ConfigurationProfile, LINES, ONE_ONE
+from harbourne.search import SearchQuery, enumerate_profiles
 
 
 class TestPositivityQuadratic:
@@ -161,11 +162,37 @@ class TestClassifier:
         profile = ConfigurationProfile(CONICS, 3, {3: 2, 2: 6})
         case = classify_conic_case(profile)
         assert case.case_tag is CaseTag.TK2
-        assert case.bound == Fraction(-4)
-        assert case.alt_bound == Fraction(-26, 3)
-        assert case.diverges
+        # (k + t2 - 1)/f0 - 4 with k = 3, t2 = 6, f0 = 8
+        assert case.bound == Fraction(-3)
+        assert not hasattr(case, "alt_bound") and not hasattr(case, "diverges")
         # the chain bound actually bounds h from below on this profile
         assert local_h(profile).h >= case.bound
+
+    def test_tk2_witness_against_the_old_alternative_form(self):
+        # h = -6/5 here, below the refuted (-34 + 2 t2 + f1)/(f0 - 2) - 8 = 0
+        profile = ConfigurationProfile(CONICS, 13, {10: 2, 12: 1, 13: 2})
+        case = classify_conic_case(profile)
+        h = local_h(profile).h
+        assert h == Fraction(-6, 5)
+        assert case.bound == Fraction(-8, 5)
+        assert h >= case.bound
+
+    def test_tk2_bound_on_every_hirz_passing_profile(self):
+        """Adding two k-fold points to every (1,1)-profile passing the
+        Hirzebruch-type inequality gives every t_k = 2 conic profile the
+        chain reaches; the bound holds on each of them."""
+        checked = 0
+        for k in range(4, 13):
+            query = SearchQuery(ONE_ONE, k, require_tk_zero=True)
+            for induced in enumerate_profiles(query):
+                if not hirzebruch_one_one(induced).holds:
+                    continue
+                profile = ConfigurationProfile(CONICS, k, {**induced.t, k: 2})
+                case = classify_conic_case(profile)
+                assert case.case_tag is CaseTag.TK2
+                assert local_h(profile).h >= case.bound, profile
+                checked += 1
+        assert checked == 55841
 
     def test_not_applicable(self):
         for profile in (

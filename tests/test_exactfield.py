@@ -10,6 +10,8 @@ from harbourne.exactfield import (
     FieldElement,
     FieldError,
     RATIONALS,
+    _multiplicity,
+    _primitive,
     _rational_roots,
     kx_divmod,
     kx_gcd,
@@ -58,14 +60,23 @@ class TestFieldConstruction:
         with pytest.raises(FieldError):
             ExactField((F(1), F(1)))
 
-    def test_reducible_without_rational_root_is_callers_problem(self):
-        # x^4 - 4 = (x^2-2)(x^2+2) slips past the sanity check; zero
-        # divisors then surface on inversion.
-        field = ExactField((F(-4), F(0), F(0), F(0), F(1)))
-        theta = field.generator()
-        zero_divisor = theta * theta - 2
-        with pytest.raises(FieldError):
-            zero_divisor.inverse()
+    def test_reducible_min_poly_rejected_at_construction(self):
+        # products of irreducible factors without a rational root
+        for min_poly in (
+            (-4, 0, 0, 0, 1),  # (x^2 - 2)(x^2 + 2)
+            (2, 0, 3, 0, 1),  # (x^2 + 1)(x^2 + 2)
+            (1, 0, 2, 0, 1),  # (x^2 + 1)^2
+        ):
+            with pytest.raises(FieldError, match="reducible"):
+                ExactField(tuple(F(c) for c in min_poly))
+
+    def test_irreducible_min_poly_accepted(self):
+        cyclo7 = ExactField(tuple(F(1) for _ in range(7)))
+        assert cyclo7.generator() ** 7 == cyclo7.one()
+        huge = ExactField((F(-(10**24 + 7)), F(0), F(1)))
+        assert huge.degree == 2
+        halves = ExactField((F(-1, 2), F(0), F(1)))  # x^2 - 1/2
+        assert halves.generator() ** 2 == halves.element(F(1, 2))
 
 
 class TestFieldElementContract:
@@ -418,6 +429,40 @@ class TestRationalMultiplicities:
         assert [(r.as_rational(), m) for r, m in got] == [
             (F(0), 3), (F(3, 2), 4), (F(-5), 1)
         ]
+
+
+class TestLowDegreeRoots:
+    def test_linear_and_quadratic_match_the_general_search(self):
+        rng = random.Random(20151022)
+        seen = {"double": 0, "zero": 0, "none": 0, "linear": 0}
+        def linear():
+            return [F(-rng.randint(-6, 6)), F(rng.randint(1, 5))]
+
+        for _ in range(240):
+            kind = rng.randrange(4)
+            if kind == 0:
+                poly = linear()
+            elif kind == 1:
+                lin = linear()
+                poly = _qmul(lin, lin)  # a double root
+            elif kind == 2:
+                poly = _qmul(linear(), linear())
+            else:
+                poly = [F(rng.randint(-9, 9)), F(rng.randint(-9, 9)), F(rng.randint(1, 9))]
+            scale = F(rng.choice([-3, 1, 2]), rng.randint(1, 4))
+            poly = [c * scale for c in poly]
+            ints = _primitive(poly)
+            want = [
+                (RATIONALS.element(r), _multiplicity(ints, r.numerator, r.denominator))
+                for r in _rational_roots(poly)
+            ]
+            got = roots_in_field([RATIONALS.element(c) for c in poly], RATIONALS)
+            assert got == want, poly
+            seen["double"] += any(m == 2 for _, m in got)
+            seen["zero"] += any(r.is_zero() for r, _ in got)
+            seen["none"] += not got
+            seen["linear"] += len(poly) == 2
+        assert min(seen.values()) >= 10, seen
 
 
 class TestPolynomialHelpers:

@@ -55,6 +55,16 @@ class TestPoints:
     def test_hash_consistent_with_equality(self):
         assert len({point(Q, 1, 2, 3), point(Q, 2, 4, 6)}) == 1
 
+    def test_sort_key_is_cached_and_equals_a_fresh_computation(self):
+        theta = SQRTM2.generator()
+        p = ProjPoint((theta * 2, SQRTM2.element(3), theta + 1))
+        key = p.sort_key()
+        assert p.sort_key() is key
+        assert key == tuple(c.coeffs for c in p.canonical().coords)
+        twin = ProjPoint(tuple(c * (theta - 5) for c in p.coords))
+        assert twin == p and hash(twin) == hash(p) and twin.sort_key() == key
+        assert repr(p) == f"ProjPoint{p}" and "_key" not in repr(p)
+
 
 class TestCurves:
     def test_degenerate_conic_rejected(self):
@@ -665,6 +675,17 @@ class TestConicConicPath:
         osculating = conic(Q, 1, 1, 1, 1, -2, -2)
         assert intersect(CIRCLE2, osculating) == [(point(Q, 1, 1, 1), 4)]
         assert len(params) == 1
+
+    def test_resultant_fallback_with_one_rational_point(self, monkeypatch):
+        # one base point (1:1:1) over Q, the other three a cubic orbit: no
+        # pencil member splits, and the fallback finds the rational point
+        fallback = _counted(monkeypatch, "_resultant_candidates")
+        a = conic(Q, 1, 0, 0, 0, 0, -1)  # X^2 - YZ
+        b = conic(Q, 1, 1, 2, -1, -2, -1)
+        with pytest.raises(IntersectionOutsideField) as err:
+            intersect(a, b)
+        assert "conic pair meets in 1 in-field point(s) of 4" in str(err.value)
+        assert len(fallback) == 1
 
     def test_tangential_pair_uses_parametrization(self, monkeypatch):
         params = _counted(monkeypatch, "_conic_parametrization")

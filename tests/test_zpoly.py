@@ -1,0 +1,230 @@
+"""The integer factorizer and the norm against sympy, which serves only as
+an oracle here: the package itself does not import it."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+
+from harbourne import _zpoly
+from harbourne.exactfield import (
+    ExactField,
+    FieldError,
+    _number_field_roots,
+    _squarefree,
+    kx_derivative,
+    kx_divmod,
+    kx_gcd,
+    kx_monic,
+    kx_shift,
+    roots_in_field,
+)
+
+X, TH = sympy.symbols("_x _theta")
+
+
+def _zmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_factor(rng, degree):
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+    return coeffs + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def _sympy_factors(f):
+    """sympy's irreducible factors of f, or None when f is not square-free."""
+    _, factors = sympy.factor_list(sympy.Poly(f[::-1], X, domain="ZZ"))
+    if any(mult > 1 for _, mult in factors):
+        return None
+    return [[int(c) for c in reversed(q.all_coeffs())] for q, _ in factors]
+
+
+def _is_squarefree(f):
+    return _squarefree([F(c) for c in f])
+
+
+class TestFactorSquarefree:
+    def test_matches_sympy_on_seeded_products(self):
+        rng = random.Random(20151021)
+        compared = split = 0
+        while compared < 300:
+            count = rng.randint(1, 4)
+            degrees = [1] * count
+            for _ in range(rng.randint(count, 24) - count):
+                degrees[rng.randrange(count)] += 1
+            f = [rng.choice([-6, -1, 1, 4])]
+            for d in degrees:
+                f = _zmul(f, _random_factor(rng, d))
+            want = _sympy_factors(f)
+            if want is None:
+                continue
+            got = _zpoly.factor_squarefree(f)
+            assert got == want, f
+            compared += 1
+            split += len(got) > 1
+        assert split > 150
+
+    def test_many_modular_factors(self):
+        # x^8 - 40x^6 + 352x^4 - 960x^2 + 576, the minimal polynomial of
+        # sqrt 2 + sqrt 3 + sqrt 5: irreducible, yet it splits into factors
+        # of degree at most 2 modulo every prime
+        f = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+        assert _zpoly.factor_squarefree(f) == [f]
+        g = _zmul(f, [-1, 0, 2])
+        assert _zpoly.factor_squarefree(g) == _sympy_factors(g) == [[-1, 0, 2], f]
+
+    def test_content_and_sign_are_dropped(self):
+        assert _zpoly.factor_squarefree([0, -6]) == [[0, 1]]
+        assert _zpoly.factor_squarefree([6, 0, -6]) == [[-1, 1], [1, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=2, max_size=6).filter(
+                lambda q: q[-1] != 0
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_round_trip(self, factors, scale):
+        f = [scale]
+        for q in factors:
+            f = _zmul(f, q)
+        assume(_is_squarefree(f))
+        found = _zpoly.factor_squarefree(f)
+        back = [1]
+        for q in found:
+            assert q[-1] > 0
+            assert _zpoly.factor_squarefree(q) == [q]
+            back = _zmul(back, q)
+        # f is its content times the product of its factors
+        assert all(a * back[-1] == b * f[-1] for a, b in zip(f, back))
+        assert found == sorted(found, key=lambda q: (len(q), q[::-1]))
+
+
+def _sympy_expr(coeffs, var):
+    return sum(sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(coeffs))
+
+
+def _sympy_norm(g_coeffs, min_poly):
+    g = sympy.expand(sum(_sympy_expr(c, TH) * X**i for i, c in enumerate(g_coeffs)))
+    res = sympy.Poly(sympy.resultant(_sympy_expr(min_poly, TH), g, TH), X)
+    return [F(int(c.p), int(c.q)) for c in reversed(res.all_coeffs())]
+
+
+SQRT5 = ExactField((F(-5), F(0), F(1)))
+CBRT2 = ExactField((F(-2), F(0), F(0), F(1)))
+ZETA5 = ExactField(tuple(F(1) for _ in range(5)))
+ZETA7 = ExactField(tuple(F(1) for _ in range(7)))
+HALF = ExactField((F(-1, 2), F(1, 3), F(1)))  # x^2 + x/3 - 1/2
+
+
+def _random_element(rng, field, scale=3):
+    return field.element(
+        [F(rng.randint(-scale, scale), rng.randint(1, 2)) for _ in range(field.degree)]
+    )
+
+
+def _kx_mul(a, b):
+    field = a[0].field
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _random_kx(rng, field, roots, other_degree):
+    """Product of (x - r) over in-field roots r (repeats allowed) and a
+    random polynomial of other_degree."""
+    poly = [field.one()]
+    for r in roots:
+        poly = _kx_mul(poly, [-r, field.one()])
+    if other_degree:
+        other = [_random_element(rng, field) for _ in range(other_degree)]
+        poly = _kx_mul(poly, other + [_random_element(rng, field) or field.one()])
+    return poly
+
+
+class TestNorm:
+    @pytest.mark.parametrize(
+        "field", [SQRT5, CBRT2, ZETA5, HALF], ids=["sqrt5", "cbrt2", "zeta5", "half"]
+    )
+    def test_matches_sympy_resultant(self, field):
+        rng = random.Random(field.degree)
+        for _ in range(6):
+            degree = rng.randint(1, 3)
+            g = [_random_element(rng, field) for _ in range(degree)] + [field.one()]
+            want = _sympy_norm([c.coeffs for c in g], field.min_poly)
+            assert _zpoly.norm([c.coeffs for c in g], field.min_poly) == want
+
+
+def _sympy_number_field_roots(poly, field):
+    """The sympy-backed root finder the package used before: norm by
+    sympy's resultant, square-free test by its gcd, factors from its
+    factor_list, in that order."""
+    m_expr = _sympy_expr(field.min_poly, TH)
+    work = kx_monic(poly)
+    g = kx_gcd(work, kx_derivative(work))
+    if len(g) > 1:
+        work, _ = kx_divmod(work, g)
+        work = kx_monic(work)
+    theta = field.generator()
+    for s in range(64):
+        shifted = kx_shift(work, theta * (-s))
+        g_expr = sympy.expand(
+            sum(_sympy_expr(c.coeffs, TH) * X**i for i, c in enumerate(shifted))
+        )
+        norm_poly = sympy.Poly(sympy.expand(sympy.resultant(m_expr, g_expr, TH)), X)
+        if sympy.gcd(norm_poly, norm_poly.diff(X)).degree() > 0:
+            continue
+        roots = []
+        for factor, _ in sympy.factor_list(norm_poly)[1]:
+            if factor.degree(X) > field.degree:
+                continue
+            q_kx = [
+                field.element(F(int(c.p), int(c.q))) for c in reversed(factor.all_coeffs())
+            ]
+            h = kx_gcd(shifted, q_kx)
+            if len(h) == 2:
+                roots.append(-h[0] - theta * s)
+        return roots
+    raise FieldError("shift search exhausted")
+
+
+class TestNumberFieldRoots:
+    @pytest.mark.parametrize(
+        "field, trials, max_roots",
+        [(SQRT5, 12, 4), (CBRT2, 10, 3), (ZETA5, 8, 3), (ZETA7, 4, 2)],
+        ids=["sqrt5", "cbrt2", "zeta5", "zeta7"],
+    )
+    def test_matches_the_sympy_root_finder(self, field, trials, max_roots):
+        rng = random.Random(7 * field.degree + trials)
+        found = 0
+        for _ in range(trials):
+            distinct = [_random_element(rng, field) for _ in range(rng.randint(1, max_roots))]
+            roots = distinct + distinct[: rng.randint(0, len(distinct))]
+            poly = _random_kx(rng, field, roots, rng.randint(0, 2))
+            want = _sympy_number_field_roots(poly, field)
+            assert _number_field_roots(poly, field) == want
+            got = roots_in_field(poly, field)
+            assert [r for r, _ in got] == want
+            assert set(distinct) <= set(want)
+            found += len(want)
+        assert found >= trials
+
+    def test_rational_coefficients_need_a_shift(self):
+        # x^2 - 5 over Q(sqrt 5): the norm at shift 0 is (x^2 - 5)^2
+        poly = [SQRT5.element(-5), SQRT5.zero(), SQRT5.one()]
+        theta = SQRT5.generator()
+        assert _number_field_roots(poly, SQRT5) == _sympy_number_field_roots(poly, SQRT5)
+        assert set(_number_field_roots(poly, SQRT5)) == {theta, -theta}
