@@ -23,11 +23,13 @@ from math import floor, ceil
 
 from .hconst import local_h
 from .profiles import (
+    ONE_ONE,
     ConfigurationProfile,
     CurveKind,
     HarbourneError,
     moments,
     require_valid,
+    validate,
 )
 
 
@@ -227,8 +229,6 @@ def _tk2_bound(profile: ConfigurationProfile) -> CaseBound:
 
 
 def _assert_induced_quadric_valid(profile: ConfigurationProfile) -> None:
-    from .profiles import ONE_ONE, validate
-
     induced = ConfigurationProfile(
         ONE_ONE,
         profile.k,

@@ -344,17 +344,6 @@ def kx_strip(f: list[FieldElement]) -> list[FieldElement]:
     return f
 
 
-def kx_degree(f: Sequence[FieldElement]) -> int:
-    return len(kx_strip(list(f))) - 1
-
-
-def kx_eval(f: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    for c in reversed(list(f)):
-        acc = acc * x + c
-    return acc
-
-
 def kx_monic(f: Sequence[FieldElement]) -> list[FieldElement]:
     f = kx_strip(list(f))
     if not f:

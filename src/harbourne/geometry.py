@@ -11,14 +11,12 @@ declared field; there is no automatic field extension.  When the
 in-field points do not account for the full Bezout count the operation
 fails with IntersectionOutsideField, and the caller picks a larger field
 explicitly.  Conic pairs are intersected by pencil degeneration: the
-degenerate members are split into lines over the field in turn, and the
-lines met with the first conic, until four distinct common points are
-found; in the transversal case the first member that splits gives all
-four.  A resultant projection fallback covers the cases where no member
-splits.  Four distinct in-field points are simple by Bezout; only when
-fewer are found (tangency, or points outside the field) do exact local
-multiplicities come from the root multiplicities of the second conic
-pulled back through a rational parametrization of the first.
+first degenerate member of the pencil that splits over the field into
+lines gives every in-field common point, and each point's exact local
+multiplicity is the sum of the multiplicities with which the two lines
+meet the first conic.  When no member splits, at most one common point
+is in the field, and it is simple; a closed-form resultant over the
+three coordinate projections finds it.
 """
 
 from __future__ import annotations
@@ -319,14 +317,6 @@ def bf_mul(a: Sequence[FieldElement], b: Sequence[FieldElement]):
     return out
 
 
-def bf_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def bf_scale(a, s: FieldElement):
-    return [s * x for x in a]
-
-
 def binary_form_roots(coeffs: Sequence[FieldElement], field: ExactField):
     """Roots in P^1(K) of a binary form, with multiplicities.
 
@@ -427,105 +417,27 @@ def _line_conic(l: PlaneCurve, q: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     return pts
 
 
-def _conic_parametrization(q: PlaneCurve, p0: ProjPoint):
-    """Binary-quadratic triple parametrizing the smooth conic q from a
-    point p0 on it: direction (t:u) -> second intersection of the line
-    through p0 with that direction."""
-    field = q.field
-    # two points spanning a coordinate line that avoids p0
-    for a, b in (
-        (point(field, 1, 0, 0), point(field, 0, 1, 0)),
-        (point(field, 1, 0, 0), point(field, 0, 0, 1)),
-        (point(field, 0, 1, 0), point(field, 0, 0, 1)),
-    ):
-        if not det3((a.coords, b.coords, p0.coords)).is_zero():
-            break
-    else:
-        raise AssertionError("point lies on all three coordinate lines")
-    qa, qb = q.evaluate(a), q.evaluate(b)
-    bab = _conic_bilinear(q, a, b)
-    bpa = _conic_bilinear(q, p0, a)
-    bpb = _conic_bilinear(q, p0, b)
-    # Q(ta + ub) and B(p0, ta + ub) as binary forms in (t, u)
-    q_dir = [qb, bab, qa]  # u^2, tu, t^2
-    b_dir = [bpb, bpa]  # u, t
-    comps = []
-    for idx in range(3):
-        p0c = p0.coords[idx]
-        ac, bc = a.coords[idx], b.coords[idx]
-        dir_c = [bc, ac]
-        term1 = bf_scale(q_dir, p0c)
-        term2 = bf_mul(b_dir, dir_c)
-        comps.append([x - y for x, y in zip(term1, term2)])
-    return comps  # three binary quadratics (phi_X, phi_Y, phi_Z)
-
-
-def _eval_conic_on_forms(q: PlaneCurve, comps) -> list[FieldElement]:
-    a, b, c, d, e, f = q.coeffs
-    X, Y, Z = comps
-    total = None
-    for coeff, u, v in (
-        (a, X, X),
-        (b, Y, Y),
-        (c, Z, Z),
-        (d, X, Y),
-        (e, X, Z),
-        (f, Y, Z),
-    ):
-        term = bf_scale(bf_mul(u, v), coeff)
-        total = term if total is None else bf_add(total, term)
-    return total
-
-
 def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
-    base = _pencil_candidates(f, g)
-    if not base:
-        base = _resultant_candidates(f, g)
-    if not base:
-        raise IntersectionOutsideField(
-            f"conic pair has no in-field intersection point of 4 over "
-            f"{f.field.label()}",
-            found=[],
-            expected=4,
-        )
-    if len(base) == 4:
-        # four distinct common points exhaust the Bezout count, so each is simple
-        return [(pt, 1) for pt in sorted(base, key=ProjPoint.sort_key)]
-    p0 = base[0]
-    comps = _conic_parametrization(f, p0)
-    quartic = _eval_conic_on_forms(g, comps)
-    roots, found = binary_form_roots(quartic, f.field)
-    pts = []
-    for (t, u), mult in roots:
-        coords = tuple(
-            bf_eval(comp, t, u) for comp in comps
-        )
-        pt = ProjPoint(coords)
-        if not (f.evaluate(pt).is_zero() and g.evaluate(pt).is_zero()):
-            raise AssertionError("parametrized intersection point off the curves")
-        pts.append((pt, mult))
-    pts.sort(key=lambda pm: pm[0].sort_key())
-    if found < 4:
-        raise IntersectionOutsideField(
-            f"conic pair meets in {found} in-field point(s) of 4 over "
-            f"{f.field.label()}",
-            found=pts,
-            expected=4,
-        )
-    return pts
+    """In-field base points of the pencil spanned by f and g, with their
+    local intersection multiplicities.
 
+    The degenerate members h = lam*f + mu*g are the roots of the binary
+    cubic det(lam*Mf + mu*Mg), and mu != 0 since f is nondegenerate.  So
+    I_P(f, g) = I_P(f, h), and I_P is additive over the components of h
+    (Fulton, *Algebraic Curves*, 3.3): the first member that splits over
+    the field into lines L1, L2 gives every in-field base point, with
+    multiplicity I_P(f, L1) + I_P(f, L2).  A double line counts twice.
 
-def bf_eval(form: Sequence[FieldElement], t: FieldElement, u: FieldElement):
-    degree = len(form) - 1
-    zero = t.field.zero()
-    total = zero
-    for i, c in enumerate(form):
-        total = total + c * t**i * u ** (degree - i)
-    return total
-
-
-def _pencil_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
-    """In-field base points found by splitting degenerate pencil members."""
+    When no member splits, at most one base point is in the field and it
+    is simple.  Galois permutes the base points and keeps their
+    multiplicities.  If two base points P, Q are in the field, the other
+    two form a Galois-stable pair R, S, and the member PQ*RS splits.  For
+    multiplicities (2,1,1), (3,1) and (4), P is the only point of its
+    multiplicity, so it is in the field with its common tangent T, and
+    T*QR, T*PQ and T^2 split; for (2,2) the double line PQ^2 splits.  So
+    the other three base points form one Galois orbit, and the resultant
+    projections find the lone point, if any.
+    """
     field = f.field
     mf, mg = conic_matrix(f), conic_matrix(g)
 
@@ -546,23 +458,44 @@ def _pencil_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
     c1 = (s1 * 4 - s2) / 2
     c2 = s1 - c1
     roots, _ = binary_form_roots([c0, c1, c2, c3], field)
+    members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
+    lines = next((ls for ls in members if ls is not None), None)
 
-    out: list[ProjPoint] = []
-    for (lam, mu), _mult in roots:
-        lines = _split_degenerate(member(lam, mu), field)
-        if lines is None:
-            continue
+    if lines is None:
+        pts = [(pt, 1) for pt in _resultant_candidates(f, g)]
+        if len(pts) > 1:
+            raise AssertionError("no member splits, yet two base points are in K")
+    else:
+        hits: dict[tuple, tuple[ProjPoint, int]] = {}
         for l in lines:
             try:
-                hits = _line_conic(l, f)
+                on_line = _line_conic(l, f)
             except IntersectionOutsideField as err:
-                hits = err.found
-            for pt, _m in hits:
-                if g.evaluate(pt).is_zero() and pt not in out:
-                    out.append(pt)
-        if len(out) == 4:
-            break
-    return out
+                on_line = err.found
+            for pt, mult in on_line:
+                if not g.evaluate(pt).is_zero():
+                    raise AssertionError("split pencil member meets f off g")
+                key = pt.sort_key()
+                first, total = hits.get(key, (pt, 0))
+                hits[key] = (first, total + mult)
+        pts = [hits[key] for key in sorted(hits)]
+
+    if not pts:
+        raise IntersectionOutsideField(
+            f"conic pair has no in-field intersection point of 4 over "
+            f"{field.label()}",
+            found=[],
+            expected=4,
+        )
+    found = sum(m for _, m in pts)
+    if found < 4:
+        raise IntersectionOutsideField(
+            f"conic pair meets in {found} in-field point(s) of 4 over "
+            f"{field.label()}",
+            found=pts,
+            expected=4,
+        )
+    return pts
 
 
 def _split_degenerate(m: Mat3, field: ExactField) -> list[PlaneCurve] | None:
@@ -617,56 +550,18 @@ def _split_degenerate(m: Mat3, field: ExactField) -> list[PlaneCurve] | None:
     return lines
 
 
-def _sylvester_resultant(fc, gc, field: ExactField):
-    """Resultant of two polynomials whose coefficients are binary forms.
+def _quadratic_resultant(fc, gc):
+    """Resultant in the eliminated variable of two quadratics whose
+    coefficients are binary forms (low to high), by the 2x2 Bezout closed
+    form (a0*b2 - a2*b0)^2 - (a0*b1 - a1*b0)*(a1*b2 - a2*b1): a binary
+    quartic."""
+    (a0, a1, a2), (b0, b1, b2) = fc, gc
 
-    fc, gc: lists (low to high in the eliminated variable) of binary-form
-    coefficient lists.  Returns a binary form.
-    """
-    dm = len(fc) - 1
-    dn = len(gc) - 1
-    size = dm + dn
+    def minor(x, y, u, v):
+        return [p - q for p, q in zip(bf_mul(x, y), bf_mul(u, v))]
 
-    rows = []
-    for shift in range(dn):
-        row = [None] * size
-        for i, coeff in enumerate(reversed(fc)):
-            row[shift + i] = coeff
-        rows.append(row)
-    for shift in range(dm):
-        row = [None] * size
-        for i, coeff in enumerate(reversed(gc)):
-            row[shift + i] = coeff
-        rows.append(row)
-
-    def det(rws):
-        if len(rws) == 1:
-            return rws[0][0] if rws[0][0] is not None else None
-        total = None
-        for j, entry in enumerate(rws[0]):
-            if entry is None:
-                continue
-            minor = [
-                [r[jj] for jj in range(len(r)) if jj != j] for r in rws[1:]
-            ]
-            sub = det(minor)
-            if sub is None:
-                continue
-            term = bf_mul(entry, sub)
-            if j % 2 == 1:
-                term = bf_scale(term, field.element(-1))
-            total = term if total is None else _bf_add_pad(total, term, field)
-        return total
-
-    res = det(rows)
-    return res if res is not None else [field.zero()]
-
-
-def _bf_add_pad(a, b, field: ExactField):
-    # the resultant is homogeneous: every surviving term has one degree
-    if len(a) != len(b):
-        raise AssertionError("inhomogeneous resultant terms")
-    return bf_add(a, b)
+    d02 = minor(a0, b2, a2, b0)
+    return minor(d02, d02, minor(a0, b1, a1, b0), minor(a1, b2, a2, b1))
 
 
 def _conic_var_coeffs(c: PlaneCurve, var: int):
@@ -687,13 +582,9 @@ def _resultant_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
     field = f.field
     out: list[ProjPoint] = []
     for var in (2, 1, 0):
-        fvc = _conic_var_coeffs(f, var)
-        gvc = _conic_var_coeffs(g, var)
-        fdeg = 2 if not fvc[2][0].is_zero() else 1
-        gdeg = 2 if not gvc[2][0].is_zero() else 1
-        res = _sylvester_resultant(fvc[: fdeg + 1], gvc[: gdeg + 1], field)
+        res = _quadratic_resultant(_conic_var_coeffs(f, var), _conic_var_coeffs(g, var))
         if all(c.is_zero() for c in res):
-            raise AssertionError("vanishing resultant for distinct irreducible conics")
+            continue  # both conics pass through the projection centre
         roots, _found = binary_form_roots(res, field)
         keep = [0, 1, 2]
         keep.remove(var)
@@ -720,10 +611,14 @@ def _resultant_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
 
 
 def _fiber_poly(c: PlaneCurve, var: int, t: FieldElement, u: FieldElement):
-    coeffs = []
-    for form in _conic_var_coeffs(c, var):
-        coeffs.append(bf_eval(form, t, u))
-    return kx_strip(coeffs)
+    """c over the point (t:u) of the projection, as a polynomial in ``var``."""
+    zero = t.field.zero()
+    return kx_strip(
+        [
+            sum((x * t**i * u ** (len(form) - 1 - i) for i, x in enumerate(form)), zero)
+            for form in _conic_var_coeffs(c, var)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,6 @@ class ConfigurationProfile:
         """Left-hand side of the incidence identity."""
         return sum(comb(r, 2) * c for r, c in self.t.items())
 
-    def with_t(self, t: Mapping[int, int]) -> "ConfigurationProfile":
-        return ConfigurationProfile(self.curve_class, self.k, t)
-
     def sorted_items(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.t.items())
 

@@ -249,6 +249,28 @@ def test_geom_resultant_fallback_message(tmp_path):
     assert "conic pair meets in 1 in-field point(s) of 4" in r.stderr
 
 
+def test_geom_osculating_conics_rejected(tmp_path):
+    # X^2 + Y^2 - 2Z^2 and an osculating conic meet only at (1:1:1), with
+    # multiplicity 4
+    doc = tmp_path / "osculating.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rational"},
+                "curves": [
+                    {"type": "conic", "coeffs": [1, 1, -2, 0, 0, 0]},
+                    {"type": "conic", "coeffs": [1, 1, 1, 1, -2, -2]},
+                ],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "curves 0 and 1 meet at" in r.stderr
+    assert "with multiplicity 4" in r.stderr
+
+
 def test_geom_reducible_field_rejected(tmp_path):
     doc = tmp_path / "reducible.json"
     doc.write_text(

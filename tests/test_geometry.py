@@ -598,26 +598,88 @@ class TestQuadricCorrespondence:
 CREMONA_LINES = ((2, 3, 3), (3, 4, 5), (2, -1, 7), (1, 2, 3), (6, 5, -3), (5, 3, 1), (1, 1, -1))
 
 
-def _parametrized_intersection(f, g):
-    """Reference route: parametrize f from the first in-field common point
-    and read every common point off g pulled back to a binary quartic."""
-    base = G._pencil_candidates(f, g) or G._resultant_candidates(f, g)
-    comps = G._conic_parametrization(f, base[0])
-    roots, found = G.binary_form_roots(G._eval_conic_on_forms(g, comps), f.field)
-    assert found == 4
+def _bf_eval(form, t, u):
+    return sum(
+        (c * t**i * u ** (len(form) - 1 - i) for i, c in enumerate(form)),
+        t.field.zero(),
+    )
+
+
+def _conic_parametrization(q, p0):
+    """Three binary quadratics parametrizing the smooth conic q from a point
+    p0 on it: direction (t:u) -> second intersection of the line through p0
+    with that direction."""
+    field = q.field
+    # two points spanning a coordinate line that avoids p0
+    for a, b in (
+        (point(field, 1, 0, 0), point(field, 0, 1, 0)),
+        (point(field, 1, 0, 0), point(field, 0, 0, 1)),
+        (point(field, 0, 1, 0), point(field, 0, 0, 1)),
+    ):
+        if not G.det3((a.coords, b.coords, p0.coords)).is_zero():
+            break
+    q_dir = [q.evaluate(b), G._conic_bilinear(q, a, b), q.evaluate(a)]
+    b_dir = [G._conic_bilinear(q, p0, b), G._conic_bilinear(q, p0, a)]
+    # p0 * Q(ta + ub) - B(p0, ta + ub) * (ta + ub), coordinatewise
+    comps = []
+    for p0c, ac, bc in zip(p0.coords, a.coords, b.coords):
+        along = G.bf_mul(b_dir, [bc, ac])
+        comps.append([p0c * x - y for x, y in zip(q_dir, along)])
+    return comps
+
+
+def _eval_conic_on_forms(q, comps):
+    X, Y, Z = comps
+    terms = [
+        [coeff * x for x in G.bf_mul(u, v)]
+        for coeff, u, v in zip(q.coeffs, (X, Y, Z, X, X, Y), (X, Y, Z, Y, Z, Z))
+    ]
+    return [sum(col[1:], col[0]) for col in zip(*terms)]
+
+
+def _parametrized_intersection(f, g, p0):
+    """Reference route: parametrize f from the common point p0 and read
+    every in-field common point, with its multiplicity, off the roots of g
+    pulled back to a binary quartic.  Returns (points, in-field total)."""
+    comps = _conic_parametrization(f, p0)
+    roots, found = G.binary_form_roots(_eval_conic_on_forms(g, comps), f.field)
     pts = [
-        (ProjPoint(tuple(G.bf_eval(comp, t, u) for comp in comps)), m)
+        (ProjPoint(tuple(_bf_eval(comp, t, u) for comp in comps)), m)
         for (t, u), m in roots
     ]
-    return sorted(pts, key=lambda pm: pm[0].sort_key())
+    for pt, _ in pts:
+        assert incident(f, pt) and incident(g, pt)
+    return sorted(pts, key=lambda pm: pm[0].sort_key()), found
 
 
-def _assert_matches_parametrization(f, g):
-    got, want = intersect(f, g), _parametrized_intersection(f, g)
+def _assert_matches_parametrization(f, g, known=None):
+    """intersect(f, g) against the parametrization seeded from the first
+    point intersect reports, or from ``known``, a common point, when it
+    reports none; an IntersectionOutsideField must carry the reference's
+    message and found list."""
+    try:
+        got, err = intersect(f, g), None
+    except IntersectionOutsideField as e:
+        got, err = e.found, e
+    seed = got[0][0] if got else known
+    if seed is None:
+        assert str(err) == (
+            f"conic pair has no in-field intersection point of 4 over {f.field.label()}"
+        )
+        return
+    assert incident(f, seed) and incident(g, seed)
+    want, found = _parametrized_intersection(f, g, seed)
     assert len(got) == len(want)
     assert all(p == q for (p, _), (q, _) in zip(got, want))
     assert [m for _, m in got] == [m for _, m in want]
     assert [p.sort_key() for p, _ in got] == [q.sort_key() for q, _ in want]
+    if found == 4:
+        assert err is None
+    else:
+        assert str(err) == (
+            f"conic pair meets in {found} in-field point(s) of 4 over {f.field.label()}"
+        )
+        assert err.expected == 4
 
 
 def _cremona_image_conics():
@@ -649,32 +711,111 @@ def test_cremona_image_conics_match_parametrization():
         _assert_matches_parametrization(f, g)
 
 
+ORACLE_FIELDS = {
+    "Q": Q,
+    "gauss": GAUSS,
+    "sqrt5": ExactField((F(-5), F(0), F(1))),
+    "cbrt2": ExactField((F(-2), F(0), F(0), F(1))),
+}
+
+# base-point multiplicities of the pencil X^2 - YZ + mu*h for each kind of
+# degenerate conic h; None where some base points may lie outside the field
+ORACLE_KINDS = {
+    "transversal": [1, 1, 1, 1],  # h = P1P2 * P3P4
+    "tangent": [1, 1, 2],  # h = T1 * P2P3
+    "bitangent": [2, 2],  # h = (P1P2)^2
+    "osculating": [1, 3],  # h = T1 * P1P2
+    "hyperosculating": [4],  # h = T1^2
+    "outside": None,  # h = L * P1P2, L a random line
+    "no-split": None,  # g a random conic through P1
+}
+
+
+def _oracle_pairs(rng, field, kind, count):
+    """Conic pairs (f, g, P1) with P1 a known common point, built on the
+    parabola X^2 - YZ through (t : t^2 : 1) and moved by a random frame."""
+
+    def elem(span=2):
+        return field.element([rng.randint(-span, span) for _ in range(field.degree)])
+
+    f0 = conic(field, 1, 0, 0, 0, 0, -1)
+    pairs = []
+    while len(pairs) < count:
+        ts = [elem() for _ in range(4)]
+        if any((a - b).is_zero() for a, b in combinations(ts, 2)):
+            continue
+        p1, p2, p3, p4 = (ProjPoint((t, t * t, field.one())) for t in ts)
+        t1 = G.PlaneCurve(G.CurveForm.LINE, f0.gradient(p1))
+        if kind == "no-split":
+            q = [elem(4) for _ in range(6)]
+            x, y, _ = p1.coords  # Z = 1, so the Z^2 coefficient absorbs q(p1)
+            rest = zip(q[:2] + q[3:], (x * x, y * y, x * y, x, y))
+            q[2] = -sum((c * m for c, m in rest), field.zero())
+        else:
+            rand_line = G.PlaneCurve(G.CurveForm.LINE, (elem(4), elem(4), field.one()))
+            l1, l2 = {
+                "transversal": (_line_through(p1, p2), _line_through(p3, p4)),
+                "tangent": (t1, _line_through(p2, p3)),
+                "bitangent": (_line_through(p1, p2), _line_through(p1, p2)),
+                "osculating": (t1, _line_through(p1, p2)),
+                "hyperosculating": (t1, t1),
+                "outside": (rand_line, _line_through(p1, p2)),
+            }[kind]
+            mu = elem() + rng.choice([-3, 3])
+            q = [a + mu * b for a, b in zip(f0.coeffs, _line_product_conic(l1, l2))]
+        frame = tuple(
+            tuple(field.element(rng.randint(-2, 2)) for _ in range(3)) for _ in range(3)
+        )
+        if G.det3(frame).is_zero():
+            continue
+        try:
+            g0 = G.PlaneCurve(G.CurveForm.CONIC, tuple(q))
+        except (GeometryError, ValueError):
+            continue  # a degenerate conic
+        known = G.apply_to_point(G.adjugate3(frame), p1)
+        pairs.append((G.apply_to_curve(frame, f0), G.apply_to_curve(frame, g0), known))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS))
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_seeded_pairs_match_parametrization(name, kind):
+    field = ORACLE_FIELDS[name]
+    for f, g, known in _oracle_pairs(random.Random(f"{name}-{kind}"), field, kind, 3):
+        _assert_matches_parametrization(f, g, known)
+        _assert_matches_parametrization(g, f, known)
+        if ORACLE_KINDS[kind] is not None:
+            assert sorted(m for _, m in intersect(f, g)) == ORACLE_KINDS[kind]
+
+
 def _counted(monkeypatch, name):
-    calls = []
+    """Patch G.<name> to record the result of every call."""
+    results = []
     original = getattr(G, name)
 
     def counting(*args):
-        calls.append(args)
-        return original(*args)
+        results.append(original(*args))
+        return results[-1]
 
     monkeypatch.setattr(G, name, counting)
-    return calls
+    return results
 
 
 class TestConicConicPath:
     def test_four_base_points_from_one_split_member(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
-        params = _counted(monkeypatch, "_conic_parametrization")
         pts = intersect(CIRCLE2, HYPER)
         assert len(pts) == 4 and all(m == 1 for _, m in pts)
         assert len(splits) == 1
-        assert params == []
 
-    def test_osculating_pair_uses_parametrization(self, monkeypatch):
-        params = _counted(monkeypatch, "_conic_parametrization")
+    def test_osculating_pair_from_one_split_member(self, monkeypatch):
+        # the only degenerate member is the tangent line at (1:1:1), doubled
+        splits = _counted(monkeypatch, "_split_degenerate")
+        fallback = _counted(monkeypatch, "_resultant_candidates")
         osculating = conic(Q, 1, 1, 1, 1, -2, -2)
         assert intersect(CIRCLE2, osculating) == [(point(Q, 1, 1, 1), 4)]
-        assert len(params) == 1
+        assert sum(lines is not None for lines in splits) == 1
+        assert fallback == []
 
     def test_resultant_fallback_with_one_rational_point(self, monkeypatch):
         # one base point (1:1:1) over Q, the other three a cubic orbit: no
@@ -685,14 +826,17 @@ class TestConicConicPath:
         with pytest.raises(IntersectionOutsideField) as err:
             intersect(a, b)
         assert "conic pair meets in 1 in-field point(s) of 4" in str(err.value)
+        assert err.value.found == [(point(Q, 1, 1, 1), 1)]
         assert len(fallback) == 1
 
-    def test_tangential_pair_uses_parametrization(self, monkeypatch):
-        params = _counted(monkeypatch, "_conic_parametrization")
+    def test_tangential_pair_from_one_split_member(self, monkeypatch):
+        splits = _counted(monkeypatch, "_split_degenerate")
+        fallback = _counted(monkeypatch, "_resultant_candidates")
         a = conic(GAUSS, 1, 1, -1, 0, 0, 0)
         b = conic(GAUSS, 1, 1, -3, 0, 0, 0)
         assert [m for _, m in intersect(a, b)] == [2, 2]
-        assert len(params) == 1
+        assert sum(lines is not None for lines in splits) == 1
+        assert fallback == []
 
 
 def _incidence_t(curves):
