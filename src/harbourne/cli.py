@@ -54,7 +54,7 @@ from .profiles import (
     plane_curves,
     validate,
 )
-from .search import DEFAULT_LIMIT, Filter, SearchQuery, enumerate_profiles, minimize_h
+from .search import Filter, SearchQuery, enumerate_profiles, minimize_h
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -271,7 +271,6 @@ def cmd_search(args, out) -> int:
         k=args.k,
         require_tk_zero=args.tk0,
         filters=filters,
-        limit=args.limit,
     )
     result = minimize_h(query)
     payload = {
@@ -281,7 +280,9 @@ def cmd_search(args, out) -> int:
         "filters": sorted(f.value for f in filters),
         "enumerated_count": result.enumerated_count,
         "filtered_count": result.filtered_count,
-        "truncated": result.truncated,
+        # minimize_h is exact, so always false; schema readers, perfbench's
+        # search check among them, still read the key.
+        "truncated": False,
         "min_h": _rat(result.min_h),
         "min_h_decimal": None
         if result.min_h is None
@@ -293,8 +294,7 @@ def cmd_search(args, out) -> int:
     else:
         print(
             f"enumerated {result.enumerated_count} combinatorially feasible "
-            f"profiles ({result.filtered_count} pass filters)"
-            + (" [truncated]" if result.truncated else ""),
+            f"profiles ({result.filtered_count} pass filters)",
             file=out,
         )
         if result.empty:
@@ -538,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filter", action="append", choices=[f.value for f in Filter]
     )
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_search)
 

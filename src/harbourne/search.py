@@ -13,10 +13,9 @@ Minimization does not enumerate.  h = (gamma*k - f1)/f0, the lt filter
 reads (k, f0, f1, t2) and hirz11 reads t2, t3 and sum_{r>=5} (r-4) t_r,
 so a dynamic program over moment states, each weighted by its number of
 t-vectors, gives the minimum and both counts exactly; only the argmin
-profiles are rebuilt, in enumeration order, and checked one by one.  The
-t-vectors are counted first by their generating function, and a query
-with more of them than its ``limit`` is answered by walking the
-enumeration up to ``limit`` instead, which is what ``truncated`` reports.
+profiles are rebuilt, in enumeration order, and checked one by one.
+The states held across the layers are capped at ``MAX_MOMENT_STATES``;
+a query that needs more is refused with :class:`SearchQueryError`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,9 @@ from .profiles import (
     validate,
 )
 
-DEFAULT_LIMIT = 10_000_000
+# Moment states held across the layers of one search.  Lines at k = 50
+# need 11.4M of them, about 2 GB; past the cap a query exits 2.
+MAX_MOMENT_STATES = 12_000_000
 
 
 class SearchQueryError(HarbourneError):
@@ -56,14 +57,11 @@ class SearchQuery:
     k: int
     require_tk_zero: bool = False
     filters: frozenset[Filter] = dc_field(default_factory=frozenset)
-    limit: int | None = DEFAULT_LIMIT
 
     def __post_init__(self):
         object.__setattr__(self, "filters", frozenset(self.filters))
         if self.k < 3:
             raise SearchQueryError(f"search requires k >= 3, got k={self.k}")
-        if self.limit is not None and self.limit < 0:
-            raise SearchQueryError("limit must be >= 0 (or None for unlimited)")
         if Filter.LT_QUADRATIC in self.filters:
             if self.curve_class.kind is not CurveKind.CONIC_P2:
                 raise SearchQueryError(
@@ -88,7 +86,6 @@ class SearchResult:
     argmin_profiles: tuple[ConfigurationProfile, ...]
     enumerated_count: int
     filtered_count: int
-    truncated: bool = False
 
     @property
     def empty(self) -> bool:
@@ -157,17 +154,10 @@ def minimize_h(query: SearchQuery) -> SearchResult:
 
     Ties are kept: every argmin profile is reported, in enumeration
     order.  ``filtered_count`` is the number of enumerated profiles that
-    survived the filters.
-
-    The t-vectors are counted first.  If there are more than ``limit``,
-    the profile walk runs and stops after ``limit`` of them, reporting a
-    truncated result.  Otherwise the moment-state dynamic program answers
+    survived the filters.  The moment-state dynamic program answers
     without building any profile it does not report.
     """
-    count = _count_t_vectors(query)
-    if query.limit is not None and count > query.limit:
-        return _walk_minimize(query)
-    return _dp_minimize(query, count)
+    return _dp_minimize(query, _count_t_vectors(query))
 
 
 def _count_t_vectors(query: SearchQuery) -> int:
@@ -247,11 +237,18 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
             )
 
     layers = [{(budget, 0, 0, 0): 1}]
+    held = 1
     for i in range(len(levels)):
         nxt: dict = {}
         for state, n in layers[-1].items():
             for _, child in children(i, state):
                 nxt[child] = nxt.get(child, 0) + n
+            if held + len(nxt) > MAX_MOMENT_STATES:
+                raise SearchQueryError(
+                    f"search at k={k} needs more than {MAX_MOMENT_STATES} "
+                    "moment states"
+                )
+        held += len(nxt)
         layers.append(nxt)
 
     enumerated = surviving = 0
@@ -314,34 +311,3 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
         filtered_count=surviving,
     )
 
-
-def _walk_minimize(query: SearchQuery) -> SearchResult:
-    """:func:`minimize_h` by walking the enumeration, stopping at ``limit``."""
-    enumerated = 0
-    surviving = 0
-    best: Fraction | None = None
-    argmins: list[ConfigurationProfile] = []
-    truncated = False
-
-    for profile in enumerate_profiles(query):
-        if query.limit is not None and enumerated >= query.limit:
-            truncated = True
-            break
-        enumerated += 1
-        if not _passes(profile, query.filters):
-            continue
-        surviving += 1
-        h = local_h(profile).h
-        if best is None or h < best:
-            best = h
-            argmins = [profile]
-        elif h == best:
-            argmins.append(profile)
-
-    return SearchResult(
-        min_h=best,
-        argmin_profiles=tuple(argmins),
-        enumerated_count=enumerated,
-        filtered_count=surviving,
-        truncated=truncated,
-    )

@@ -4,12 +4,16 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 from conftest import SEVEN_POINTS, conic_through
 
 import harbourne
+from harbourne import cli, search
+from harbourne.profiles import LINES
+from harbourne.search import SearchQuery, enumerate_profiles
 
 # The subprocess runs the package these tests import, installed or not.
 SRC = str(Path(harbourne.__file__).resolve().parents[1])
@@ -373,6 +377,58 @@ def test_search_machine():
     assert data["argmin_profiles"] == [
         {"class": "conic-p2", "k": 4, "t": {"2": 24}}
     ]
+
+
+def test_search_conic_k14_lt_is_exact():
+    # 32,941,924 t-vectors, answered exactly by default: no walk, no cut
+    argv = "search --class conic-p2 --k 14 --tk0 --filter lt --machine"
+    r = run_cli(argv.split())
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    assert data["min_h"] == "-64/17"
+    assert data["enumerated_count"] == data["filtered_count"] == 32941924
+    assert [p["t"] for p in data["argmin_profiles"]] == [{"7": 16, "8": 1}]
+    assert data["truncated"] is False
+
+
+def line_k8_moment_states():
+    """States the line search at k = 8 holds: the distinct (r, budget left,
+    f0, f1) over every t-vector's prefix t_8..t_r, r = 9 (empty) down to 4."""
+    states = set()
+    for profile in enumerate_profiles(SearchQuery(LINES, 8)):
+        t = dict(profile.t)
+        for r in range(9, 3, -1):
+            top = [(q, c) for q, c in t.items() if q >= r]
+            states.add((
+                r,
+                28 - sum(comb(q, 2) * c for q, c in top),
+                sum(c for _, c in top),
+                sum(q * c for q, c in top),
+            ))
+    return len(states)
+
+
+def test_search_moment_state_cap(monkeypatch, capsys):
+    argv = ["search", "--class", "line-p2", "--k", "8", "--machine"]
+    held = line_k8_moment_states()
+    monkeypatch.setattr(search, "MAX_MOMENT_STATES", held)
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out)["enumerated_count"] == 66 and not err
+
+    monkeypatch.setattr(search, "MAX_MOMENT_STATES", held - 1)
+    assert cli.main(argv) == cli.EXIT_COMPUTATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: search at k=8 needs more than {held - 1} moment states\n"
+
+
+def test_search_has_no_limit_option():
+    r = run_cli(["search", "--help"])
+    assert r.returncode == 0 and "--limit" not in r.stdout
+    r = run_cli(["search", "--class", "line-p2", "--k", "4", "--limit", "5"])
+    assert r.returncode == 2
+    assert "unrecognized arguments: --limit 5" in r.stderr
 
 
 def test_search_bad_filter_combination():

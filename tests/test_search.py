@@ -159,17 +159,6 @@ class TestMinimize:
         want = min(local_h(p).h for p in enumerate_profiles(query))
         assert result.min_h == want
 
-    def test_truncation(self):
-        result = minimize_h(SearchQuery(CONICS, 4, require_tk_zero=True, limit=3))
-        assert result.truncated
-        assert result.enumerated_count == 3
-
-    def test_limit_zero_gives_empty_result(self):
-        result = minimize_h(SearchQuery(CONICS, 4, require_tk_zero=True, limit=0))
-        assert result.empty
-        assert result.min_h is None
-        assert result.argmin_profiles == ()
-
     def test_filtered_count_reported(self):
         result = minimize_h(
             SearchQuery(
@@ -178,25 +167,6 @@ class TestMinimize:
         )
         assert result.filtered_count <= result.enumerated_count
         assert result.filtered_count > 0
-
-    def test_hirz_filter_rejects_failing_profiles(self):
-        """Large k admits profiles failing the quadric inequality; the
-        filter must drop them and keep only passing survivors."""
-        from harbourne.constraints import hirzebruch_one_one
-
-        result = minimize_h(
-            SearchQuery(
-                ONE_ONE,
-                26,
-                require_tk_zero=True,
-                filters={Filter.HIRZEBRUCH_11},
-                limit=500,
-            )
-        )
-        assert result.truncated
-        assert result.filtered_count < result.enumerated_count == 500
-        for p in result.argmin_profiles:
-            assert hirzebruch_one_one(p).holds
 
 
 class TestNegativityBoundSweep:
@@ -243,13 +213,11 @@ class TestNegativityBoundSweep:
 
 
 def walk_oracle(query: SearchQuery) -> SearchResult:
-    """minimize_h by visiting every enumerated profile, stopping at limit."""
+    """minimize_h by visiting every enumerated profile."""
     enumerated = surviving = 0
     best = None
     argmins = []
     for profile in enumerate_profiles(query):
-        if query.limit is not None and enumerated >= query.limit:
-            return SearchResult(best, tuple(argmins), enumerated, surviving, True)
         enumerated += 1
         if not _passes(profile, query.filters):
             continue
@@ -317,25 +285,6 @@ class TestMomentStateSearch:
     )
     def test_matches_walk(self, query):
         assert minimize_h(query) == walk_oracle(query)
-
-    @pytest.mark.parametrize(
-        "query",
-        [
-            SearchQuery(CONICS, 7, True, LT),
-            SearchQuery(ONE_ONE, 8, True, HIRZ),
-            SearchQuery(LINES, 8),
-        ],
-    )
-    def test_limit_boundaries(self, query):
-        count = sum(1 for _ in enumerate_profiles(query))
-        for limit in (count - 1, count, count + 1, 0):
-            limited = SearchQuery(
-                query.curve_class, query.k, query.require_tk_zero, query.filters, limit
-            )
-            result = minimize_h(limited)
-            assert result == walk_oracle(limited)
-            assert result.truncated == (limit < count)
-            assert result.enumerated_count == min(limit, count)
 
     def test_hirz11_where_it_rejects(self):
         # k = 14 is the smallest k at which hirz11 rejects t-vectors
