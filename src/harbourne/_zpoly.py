@@ -17,19 +17,33 @@ so subsets of lifted factors are recombined by exact trial division.
 
 The norm of g in K[x], K = Q[theta]/(m), is Res_theta(m, g): the
 determinant of multiplication by g(x0, theta) on K, taken at
-deg_x(g) * deg(m) + 1 integers x0 and interpolated (Trager 1976).
+deg_x(g) * deg(m) + 1 integers x0 and interpolated (Trager 1976).  With
+the denominators cleared first, each determinant is a Bareiss
+elimination over Z and the interpolation divides exactly.  A norm is
+certified square-free by a coprime derivative modulo a small prime,
+with Euclid over Q only as the fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from random import Random
 from typing import Sequence
 
-from .exactfield import _primes, _primitive, _pstrip
+from .exactfield import (
+    _bareiss,
+    _mult_matrix,
+    _power_table,
+    _primes,
+    _primitive,
+    _pstrip,
+    _squarefree,
+)
 
 _PRIMES_TRIED = 5
+_SQUAREFREE_PRIMES = 3
 _SEED = 20150923
 
 
@@ -294,72 +308,79 @@ def factor_squarefree(f: Sequence[int]) -> list[list[int]]:
     return sorted(_zassenhaus(f), key=lambda q: (len(q), q[::-1]))
 
 
-def norm(g: Sequence[Sequence[Fraction]], m: Sequence[Fraction]) -> list[Fraction]:
-    """Res_theta(m, g) in Q[x] for monic m and g in (Q[theta]/(m))[x].
+def is_squarefree(f: Sequence[int]) -> bool:
+    """Whether an integer polynomial of positive degree is square-free.
 
-    ``g`` lists the coefficient vectors (each of length deg m) of the
-    powers of x.  The norm has degree at most N = deg_x(g) deg(m); its
-    values at x0 = 0..N are determinants of multiplication matrices, and
-    Newton's divided differences rebuild it.
+    A square factor g^2 of f over Z stays a square factor of f mod p for
+    every prime p not dividing lc(f), so gcd(f, f') = 1 mod one such p
+    proves f square-free.  The converse can fail only at primes dividing
+    the discriminant; when the first few odd primes all fail, the answer
+    is Euclid's over Q.
     """
-    d = len(m) - 1
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    tried = 0
+    for p in _primes():
+        if p == 2 or f[-1] % p == 0:
+            continue
+        if len(_gcd(f, deriv, p)) == 1:
+            return True
+        tried += 1
+        if tried == _SQUAREFREE_PRIMES:
+            return _squarefree([Fraction(c) for c in f])
+
+
+def integer_norm(g: Sequence[Sequence[int]], table: tuple[tuple, int]) -> list[int]:
+    """(den^d) Res_theta(m, g) in Z[x] for g in (Z[theta]/(m))[x], where
+    table = (rows, den) is the power table of the monic m of degree d
+    (:func:`harbourne.exactfield._power_table`).
+
+    ``g`` lists the integer coefficient vectors (each of length d) of the
+    powers of x.  The result has degree at most N = deg_x(g) d; its values
+    at x0 = 0..N are determinants of den times the multiplication matrices
+    of g(x0, theta), by Bareiss elimination.  They are values of an
+    integer polynomial, so every divided difference of Newton's formula
+    is an exact integer division.
+    """
+    d = len(g[0])
     points = (len(g) - 1) * d + 1
-    values = []
+    coef = []
     for x0 in range(points):
-        v = [Fraction(0)] * d
+        v = [0] * d
         power = 1
         for coeffs in g:
             for i, c in enumerate(coeffs):
                 v[i] += c * power
             power *= x0
-        values.append(_det(_mult_matrix(v, m)))
+        pivot, sign = _bareiss(_mult_matrix(v, table))
+        coef.append(sign * pivot)
     # divided differences at 0, 1, ..., N; spacing is integral
-    coef = list(values)
     for j in range(1, points):
         for i in range(points - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j
+            coef[i] = (coef[i] - coef[i - 1]) // j
     # Newton form to monomials, Horner from the innermost term
     out = [coef[-1]]
     for i in range(points - 2, -1, -1):
         # out * (x - i) + coef[i]
-        nxt = [Fraction(0)] + out
+        nxt = [0] + out
         for j, c in enumerate(out):
             nxt[j] -= i * c
         nxt[0] += coef[i]
         out = nxt
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _pstrip(out)
 
 
-def _mult_matrix(v: list[Fraction], m: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Columns v, theta v, ..., theta^(d-1) v reduced modulo monic m."""
-    d = len(m) - 1
-    cols = [v]
-    for _ in range(d - 1):
-        prev = cols[-1]
-        top = prev[-1]
-        cols.append([(prev[i - 1] if i else 0) - top * m[i] for i in range(d)])
-    return cols
+def norm(g: Sequence[Sequence[Fraction]], m: Sequence[Fraction]) -> list[Fraction]:
+    """Res_theta(m, g) in Q[x] for monic m and g in (Q[theta]/(m))[x].
 
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by Gaussian elimination over Q."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        piv = a[col][col]
-        det *= piv
-        for r in range(col + 1, n):
-            factor = a[r][col] / piv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    ``g`` lists the coefficient vectors (each of length deg m) of the
+    powers of x.  Their denominators are cleared once, and
+    :func:`integer_norm` of the scaled g is divided by the constant that
+    the scaling and m's power table contribute.
+    """
+    table = _power_table(m)
+    den = lcm(*(c.denominator for coeffs in g for c in coeffs))
+    ints = integer_norm(
+        [[c.numerator * (den // c.denominator) for c in coeffs] for coeffs in g], table
+    )
+    scale = (table[1] * den) ** (len(m) - 1)
+    return [Fraction(c, scale) for c in ints]

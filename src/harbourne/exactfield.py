@@ -1,10 +1,21 @@
 """Exact field arithmetic: the rationals and simple number fields.
 
 A number field is presented as Q[theta]/(m) for a monic polynomial m
-with rational coefficients; elements are coefficient vectors of length
-deg(m) and all arithmetic reduces modulo m.  Equality is coefficient-wise
-after reduction, so it is decidable, which is the whole point: geometric
-predicates downstream never touch floating point.
+with rational coefficients, of degree d.  An element is stored fraction
+free, in the manner of FLINT's ``nf_elem``: a tuple ``num`` of d integer
+numerators (low to high) over one denominator ``den`` > 0, in lowest
+terms, gcd(den, *num) = 1.  Each element has exactly one such form, so
+equality is a comparison of integers, which is the whole point: geometric
+predicates downstream never touch floating point.  ``coeffs`` gives the
+same value as a tuple of Fractions.
+
+Sums and differences are taken on the numerators.  A product is the
+integer schoolbook product of the numerators, reduced by a table of
+theta^d, ..., theta^(2d-2) modulo m, built once per field over one common
+denominator (m need not have integer coefficients).  An inverse solves
+(multiplication by num) x = den e_0 by fraction-free Gauss-Jordan
+elimination over Z (Bareiss), whose divisions are all exact; the norm in
+:mod:`harbourne._zpoly` takes its determinants the same way.
 
 A field is accepted only if m is irreducible over Q: its primitive
 integer form must be square-free with a single irreducible factor over Z.
@@ -19,16 +30,16 @@ Computer Algebra*, ch. 15).  Over a number field it is a norm/shift
 argument (Trager 1976): shift x by integer multiples of theta until the
 norm (a resultant down to Q[x]) is square-free, factor the norm over Z,
 and read off the in-field roots as the linear gcds.  The integer
-polynomial work (norms, factoring) lives in :mod:`harbourne._zpoly`,
-imported only by the number-field paths; everything in K[x] is done
-here.
+polynomial work (norms, square-freeness, factoring) lives in
+:mod:`harbourne._zpoly`, imported only by the number-field paths;
+everything in K[x] is done here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .profiles import HarbourneError
@@ -48,18 +59,6 @@ def _pstrip(p: list[Rat]) -> list[Rat]:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _pmul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _pstrip(out)
 
 
 def _pdivmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
@@ -87,27 +86,85 @@ def _pgcd(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
     return r0
 
 
-def _pxgcd(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat], list[Rat]]:
-    """Extended Euclid: (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _pstrip(list(a)), _pstrip(list(b))
-    u0, u1 = [Rat(1)], []
-    v0, v1 = [], [Rat(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _pstrip([x - y for x, y in _zippad(u0, _pmul(q, u1))])
-        v0, v1 = v1, _pstrip([x - y for x, y in _zippad(v0, _pmul(q, v1))])
-    return r0, u0, v0
-
-
 def _squarefree(a: Sequence[Rat]) -> bool:
     return len(_pgcd(a, [c * i for i, c in enumerate(a)][1:])) == 1
 
 
-def _zippad(a: Sequence[Rat], b: Sequence[Rat]) -> Iterable[tuple[Rat, Rat]]:
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Rat(0), b[i] if i < len(b) else Rat(0))
+# ---------------------------------------------------------------------------
+# fraction-free linear algebra modulo m
+
+
+def _power_table(min_poly: Sequence[Rat]) -> tuple[tuple, int]:
+    """(rows, den): theta^(d+j) = sum(t * theta^i for i, t in rows[j]) / den
+    modulo the monic min_poly of degree d, for j = 0 .. d-2, with each row
+    listing its nonzero (i, t) and den the least common denominator."""
+    d = len(min_poly) - 1
+    power = [-c for c in min_poly[:d]]  # theta^d
+    powers = [power]
+    for _ in range(d - 2):
+        top = power[-1]
+        power = [(power[i - 1] if i else 0) + top * powers[0][i] for i in range(d)]
+        powers.append(power)
+    den = lcm(*(c.denominator for p in powers for c in p))
+    rows = tuple(
+        tuple((i, c.numerator * (den // c.denominator)) for i, c in enumerate(p) if c)
+        for p in powers
+    )
+    return rows, den
+
+
+def _reduce(prod: Sequence[int], table: tuple[tuple, int]) -> list[int]:
+    """den * prod(theta) modulo m, as d integers, for an integer prod with
+    d <= len(prod) <= 2d - 1 and table = (rows, den) of :func:`_power_table`."""
+    rows, den = table
+    d = len(rows) + 1
+    out = list(prod[:d]) if den == 1 else [den * c for c in prod[:d]]
+    for j in range(len(prod) - d):
+        c = prod[d + j]
+        if c:
+            for i, t in rows[j]:
+                out[i] += c * t
+    return out
+
+
+def _mult_matrix(num: Sequence[int], table: tuple[tuple, int]) -> list[list[int]]:
+    """Rows of den times the matrix of multiplication by num(theta): its
+    column k is theta^k num(theta) modulo m."""
+    cols = [_reduce([0] * k + list(num), table) for k in range(len(num))]
+    return [list(row) for row in zip(*cols)]
+
+
+def _bareiss(rows: list[list[int]], solve: bool = False) -> tuple[int, int]:
+    """Fraction-free elimination of an integer n x (n + r) matrix, in place.
+
+    Returns (pivot, sign): the determinant of the leading n x n block is
+    sign * pivot, 0 when it is singular.  After step k every entry is a
+    (k+1) x (k+1) minor, so each division by the previous pivot is exact
+    (Bareiss 1968).  With ``solve`` the rows above each pivot are cleared
+    too (Gauss-Jordan), so a nonsingular left block ends as pivot * I and
+    each of the r right-hand columns as pivot times its solution.
+    """
+    n = len(rows)
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return 0, sign
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i in range(0 if solve else k + 1, n):
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[k] = 0
+        prev = p
+    return prev, sign
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +175,16 @@ def _zippad(a: Sequence[Rat], b: Sequence[Rat]) -> Iterable[tuple[Rat, Rat]]:
 class ExactField:
     """The rationals (min_poly None) or Q[theta]/(min_poly).
 
-    ``min_poly`` is monic, low-to-high, leading coefficient included.
+    ``min_poly`` is monic, low-to-high, leading coefficient included.  A
+    number field also caches its :func:`_power_table` as ``_table``,
+    outside the dataclass fields, so equality and hashing ignore it.
     """
 
     min_poly: tuple[Rat, ...] | None = None
 
     def __post_init__(self):
         if self.min_poly is None:
+            object.__setattr__(self, "_table", None)
             return
         coeffs = tuple(Rat(c) for c in self.min_poly)
         object.__setattr__(self, "min_poly", coeffs)
@@ -138,6 +198,7 @@ class ExactField:
 
         if not _squarefree(coeffs) or len(factor_squarefree(_primitive(coeffs))) > 1:
             raise FieldError("min_poly is reducible over Q")
+        object.__setattr__(self, "_table", _power_table(coeffs))
 
     @property
     def degree(self) -> int:
@@ -153,16 +214,22 @@ class ExactField:
             if value.field is not self and value.field != self:
                 raise FieldError("element belongs to a different field")
             return value
-        if isinstance(value, (int, Fraction)):
-            coeffs = [Rat(value)] + [Rat(0)] * (self.degree - 1)
-            return FieldElement(self, tuple(coeffs))
+        pad = (0,) * (self.degree - 1)
+        if isinstance(value, int):
+            return _element(self, (value,) + pad, 1)
+        if isinstance(value, Fraction):
+            return _element(self, (value.numerator,) + pad, value.denominator)
         coeffs = [Rat(c) for c in value]
         if self.is_rational and len(coeffs) > 1:
             raise FieldError("coefficient vectors need a number field")
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        coeffs += [Rat(0)] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        if len(coeffs) > self.degree:  # reduce modulo min_poly by Horner
+            acc, theta = self.zero(), self.generator()
+            for c in reversed(coeffs):
+                acc = acc * theta + c
+            return acc
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _element(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -174,10 +241,6 @@ class ExactField:
         if self.is_rational:
             raise FieldError("the rationals have no generator")
         return self.element([0, 1])
-
-    def _reduce(self, coeffs: list[Rat]) -> list[Rat]:
-        _, rem = _pdivmod(coeffs, list(self.min_poly))
-        return rem
 
     def label(self) -> str:
         if self.is_rational:
@@ -203,16 +266,15 @@ def _poly_str(coeffs: Sequence[Rat], var: str) -> str:
 
 
 class FieldElement:
-    """An element of ``field``: immutable, compared and hashed by value."""
+    """An element num(theta) / den of ``field``: immutable, compared and
+    hashed by value.  Built only by :func:`_element`, through
+    :meth:`ExactField.element` or the arithmetic."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     field: ExactField
-    coeffs: tuple[Rat, ...]
-
-    def __init__(self, field: ExactField, coeffs: tuple[Rat, ...]):
-        _set_field(self, field)
-        _set_coeffs(self, coeffs)
+    num: tuple[int, ...]
+    den: int
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FieldElement is immutable: cannot set {name!r}")
@@ -220,18 +282,25 @@ class FieldElement:
     def __delattr__(self, name):
         raise AttributeError(f"FieldElement is immutable: cannot delete {name!r}")
 
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients of 1, theta, ..., theta^(d-1) as Fractions."""
+        return tuple([Rat(n, self.den) for n in self.num])
+
     def __eq__(self, other):
         if other.__class__ is not FieldElement:
             return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.field is other.field or self.field == other.field
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -250,23 +319,35 @@ class FieldElement:
     def __add__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, ad, bd = self.num, other.num, self.den, other.den
+        if ad == bd:
+            if len(a) == 1:
+                return _element(self.field, (a[0] + b[0],), ad)
+            return _element(self.field, tuple([x + y for x, y in zip(a, b)]), ad)
         if len(a) == 1:
-            return FieldElement(self.field, (a[0] + b[0],))
-        return FieldElement(self.field, tuple([x + y for x, y in zip(a, b)]))
+            return _element(self.field, (a[0] * bd + b[0] * ad,), ad * bd)
+        return _element(
+            self.field, tuple([x * bd + y * ad for x, y in zip(a, b)]), ad * bd
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple([-a for a in self.coeffs]))
+        return _element(self.field, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, ad, bd = self.num, other.num, self.den, other.den
+        if ad == bd:
+            if len(a) == 1:
+                return _element(self.field, (a[0] - b[0],), ad)
+            return _element(self.field, tuple([x - y for x, y in zip(a, b)]), ad)
         if len(a) == 1:
-            return FieldElement(self.field, (a[0] - b[0],))
-        return FieldElement(self.field, tuple([x - y for x, y in zip(a, b)]))
+            return _element(self.field, (a[0] * bd - b[0] * ad,), ad * bd)
+        return _element(
+            self.field, tuple([x * bd - y * ad for x, y in zip(a, b)]), ad * bd
+        )
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -274,29 +355,40 @@ class FieldElement:
     def __mul__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if len(a) == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        red = self.field._reduce(_pmul(a, b))
-        red += [Rat(0)] * (len(a) - len(red))
-        return FieldElement(self.field, tuple(red))
+            return _element(self.field, (a[0] * b[0],), self.den * other.den)
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        table = self.field._table
+        return _element(
+            self.field, tuple(_reduce(prod, table)), self.den * other.den * table[1]
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.field.is_rational:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
-        g, u, _ = _pxgcd(list(self.coeffs), list(self.field.min_poly))
-        if len(g) != 1:
+        if len(self.num) == 1:
+            return _element(self.field, (self.den,), self.num[0])
+        # M x = e_0 for M = table den * (multiplication by num); the
+        # inverse of num / den is then table den * den * x
+        table = self.field._table
+        rows = _mult_matrix(self.num, table)
+        for row in rows:
+            row.append(0)
+        rows[0][-1] = 1
+        pivot, _ = _bareiss(rows, solve=True)
+        if not pivot:
             raise FieldError(
                 "element is a zero divisor: min_poly is not irreducible"
             )
-        scaled = [c / g[0] for c in u]
-        red = self.field._reduce(scaled)
-        red += [Rat(0)] * (self.field.degree - len(red))
-        return FieldElement(self.field, tuple(red))
+        scale = table[1] * self.den
+        return _element(self.field, tuple([scale * row[-1] for row in rows]), pivot)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -318,9 +410,9 @@ class FieldElement:
 
     def as_rational(self) -> Rat:
         """The value as a Fraction; only for elements of the prime field."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise FieldError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Rat(self.num[0], self.den)
 
     def __str__(self) -> str:
         return _poly_str(self.coeffs, "theta")
@@ -329,9 +421,27 @@ class FieldElement:
         return f"FieldElement({self})"
 
 
-# slot writers that bypass the immutability guard, for __init__ only
+# slot writers that bypass the immutability guard, for _element only
+_new_element = object.__new__
 _set_field = FieldElement.field.__set__
-_set_coeffs = FieldElement.coeffs.__set__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
+
+
+def _element(field: ExactField, num: tuple[int, ...], den: int) -> FieldElement:
+    """The element num / den of field (den nonzero), brought to lowest
+    terms with a positive denominator: the one constructor."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple([c // g for c in num])
+        den //= g
+    self = _new_element(FieldElement)
+    _set_field(self, field)
+    _set_num(self, num)
+    _set_den(self, den)
+    return self
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +526,15 @@ def roots_in_field(
     if len(poly) == 1:
         return []
     if field.is_rational:
-        rats = [c.coeffs[0] for c in poly]
-        ints = _primitive(rats)
+        den = lcm(*(c.den for c in poly))
+        ints = [c.num[0] * (den // c.den) for c in poly]
+        content = gcd(*ints)
+        ints = [c // content for c in ints]
         if len(ints) <= 3:
             return [(field.element(r), m) for r, m in _low_degree_roots(ints)]
         return [
             (field.element(r), _multiplicity(ints, r.numerator, r.denominator))
-            for r in _rational_roots(rats)
+            for r in _rational_roots([Rat(c) for c in ints])
         ]
     roots = _number_field_roots(poly, field)
     out = []
@@ -594,8 +706,11 @@ def _number_field_roots(
     theta = field.generator()
     for s in range(_SHIFT_ATTEMPTS):
         shifted = kx_shift(work, theta * (-s))
-        norm = _zpoly.norm([c.coeffs for c in shifted], field.min_poly)
-        if not _squarefree(norm):
+        den = lcm(*(c.den for c in shifted))
+        norm = _zpoly.integer_norm(
+            [[n * (den // c.den) for n in c.num] for c in shifted], field._table
+        )
+        if not _zpoly.is_squarefree(norm):
             continue
         roots = []
         for factor in _zpoly.factor_squarefree(norm):

@@ -5,14 +5,18 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from harbourne import _zpoly
+from harbourne._zpoly import is_squarefree
 from harbourne.exactfield import (
     ExactField,
     FieldElement,
     FieldError,
     RATIONALS,
+    _bareiss,
     _multiplicity,
     _primitive,
     _rational_roots,
+    _squarefree,
     kx_divmod,
     kx_gcd,
     kx_shift,
@@ -487,3 +491,266 @@ class TestPolynomialHelpers:
         f = [RATIONALS.zero(), RATIONALS.zero(), one]  # x^2
         shifted = kx_shift(f, RATIONALS.element(3))  # (x+3)^2
         assert [c.as_rational() for c in shifted] == [F(9), F(6), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free arithmetic against the Fraction arithmetic it replaced
+
+
+def _ref_strip(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_pmul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _ref_pdivmod(a, b):
+    b = _ref_strip(list(b))
+    rem = list(a)
+    quot = [F(0)] * max(0, len(rem) - len(b) + 1)
+    while len(_ref_strip(rem)) >= len(b):
+        shift = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quot[shift] = factor
+        for i, bi in enumerate(b):
+            rem[shift + i] -= factor * bi
+    return _ref_strip(quot), _ref_strip(rem)
+
+
+def _ref_pxgcd(a, b):
+    """Extended Euclid: (g, u, v) with u*a + v*b = g."""
+    r0, r1 = _ref_strip(list(a)), _ref_strip(list(b))
+    u0, u1, v0, v1 = [F(1)], [], [], [F(1)]
+
+    def minus(x, y):
+        n = max(len(x), len(y))
+        x, y = x + [F(0)] * (n - len(x)), y + [F(0)] * (n - len(y))
+        return _ref_strip([p - q for p, q in zip(x, y)])
+
+    while r1:
+        q, r = _ref_pdivmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, minus(u0, _ref_pmul(q, u1))
+        v0, v1 = v1, minus(v0, _ref_pmul(q, v1))
+    return r0, u0, v0
+
+
+def _ref_pad(p, d):
+    return tuple(p) + (F(0),) * (d - len(p))
+
+
+def _ref_mul(a, b, m):
+    if m is None:
+        return (a[0] * b[0],)
+    return _ref_pad(_ref_pdivmod(_ref_pmul(list(a), list(b)), m)[1], len(m) - 1)
+
+
+def _ref_inverse(a, m):
+    if m is None:
+        return (1 / a[0],)
+    g, u, _ = _ref_pxgcd(list(a), list(m))
+    assert len(g) == 1
+    return _ref_pad(_ref_pdivmod([c / g[0] for c in u], m)[1], len(m) - 1)
+
+
+def _ref_pow(a, e, m):
+    if e < 0:
+        return _ref_pow(_ref_inverse(a, m), -e, m)
+    out = _ref_pad([F(1)], len(a))
+    for _ in range(e):
+        out = _ref_mul(out, a, m)
+    return out
+
+
+ORACLE_FIELDS = {
+    "Q": RATIONALS,
+    "sqrt5": ExactField((F(-5), F(0), F(1))),
+    "cbrt2": CBRT2,
+    "zeta5": ExactField(tuple(F(1) for _ in range(5))),
+    "zeta7": ExactField(tuple(F(1) for _ in range(7))),
+    "half": ExactField((F(-1, 2), F(0), F(1))),  # theta^2 - 1/2
+    "cubic": ExactField((F(-3, 4), F(2, 3), F(-1, 5), F(1))),  # table denominator 300
+}
+
+
+def _random_coeffs(rng, d):
+    def coeff():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return F(0)
+        if kind == 1:
+            return F(rng.randint(-9, 9))
+        if kind == 2:
+            return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        return F(rng.randint(-60, 60), rng.randint(1, 12))
+
+    return tuple(coeff() for _ in range(d))
+
+
+def _assert_normal(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    assert x.coeffs == tuple(F(n, x.den) for n in x.num)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+class TestAgainstFractionArithmetic:
+    def test_operations_match_the_fraction_reference(self, name):
+        field = ORACLE_FIELDS[name]
+        m = field.min_poly and list(field.min_poly)
+        rng = random.Random(f"oracle:{name}")
+        for _ in range(200):
+            ca = _random_coeffs(rng, field.degree)
+            cb = _random_coeffs(rng, field.degree)
+            a, b = field.element(ca), field.element(cb)
+            assert a.coeffs == ca and b.coeffs == cb
+            results = {
+                "+": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+                "-": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+                "neg": (-a, tuple(-x for x in ca)),
+                "*": (a * b, _ref_mul(ca, cb, m)),
+                "**3": (a**3, _ref_pow(ca, 3, m)),
+            }
+            if any(cb):
+                results["inverse"] = (b.inverse(), _ref_inverse(cb, m))
+                results["/"] = (a / b, _ref_mul(ca, _ref_inverse(cb, m), m))
+                results["**-2"] = (b**-2, _ref_pow(cb, -2, m))
+            for op, (got, want) in results.items():
+                assert got.coeffs == want, (op, ca, cb)
+                _assert_normal(got)
+
+    def test_equal_values_are_equal_and_hash_alike(self, name):
+        field = ORACLE_FIELDS[name]
+        rng = random.Random(f"hash:{name}")
+        for _ in range(50):
+            a = field.element(_random_coeffs(rng, field.degree))
+            b = field.element(_random_coeffs(rng, field.degree))
+            routes = [a, field.element(a.coeffs), a + b - b, (a * 3) / 3, -(-a)]
+            if b:
+                routes.append(a * b / b)
+            for x in routes:
+                assert x == a and hash(x) == hash(a)
+                assert x.num == a.num and x.den == a.den
+
+
+@pytest.mark.parametrize("name", ["zeta7", "half", "cubic"])
+def test_division_round_trip(name):
+    field = ORACLE_FIELDS[name]
+
+    @given(elements(field), elements(field))
+    def round_trip(a, b):
+        if b:
+            assert (a * b) / b == a
+            _assert_normal((a * b) / b)
+
+    round_trip()
+
+
+def test_long_coefficient_vectors_reduce_like_the_reference():
+    for name in ("cbrt2", "half", "cubic", "zeta7"):
+        field = ORACLE_FIELDS[name]
+        rng = random.Random(f"long:{name}")
+        for length in range(1, 3 * field.degree + 2):
+            coeffs = _random_coeffs(rng, length)
+            want = _ref_pdivmod(list(coeffs), list(field.min_poly))[1]
+            got = field.element(coeffs)
+            assert got.coeffs == _ref_pad(want, field.degree)
+            _assert_normal(got)
+
+
+def test_sort_key_orders_points_by_fraction_value():
+    from harbourne.geometry import ProjPoint
+
+    field = ORACLE_FIELDS["sqrt5"]
+    m = list(field.min_poly)
+    rng = random.Random(20151020)
+    points, want = [], []
+    for _ in range(60):
+        coords = [_random_coeffs(rng, 2) for _ in range(3)]
+        coords[rng.randrange(3)] = (F(rng.randint(1, 3)), F(0))  # never (0:0:0)
+        points.append(ProjPoint(tuple(field.element(c) for c in coords)))
+        lead = next(c for c in coords if any(c))
+        inv = _ref_inverse(lead, m)
+        want.append(tuple(_ref_mul(c, inv, m) for c in coords))
+    assert [p.sort_key() for p in points] == want
+    assert sorted(points, key=ProjPoint.sort_key) == [
+        points[i] for i in sorted(range(len(points)), key=want.__getitem__)
+    ]
+
+
+def _fraction_det(rows):
+    a = [[F(x) for x in r] for r in rows]
+    n, det = len(a), F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+def test_bareiss_determinants_and_solutions():
+    rng = random.Random(20151023)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.1 and n > 1:  # a dependent last row
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[-2])]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        want = _fraction_det(rows)
+        pivot, sign = _bareiss([list(r) for r in rows])
+        assert sign * pivot == want
+        aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+        pivot, sign = _bareiss(aug, solve=True)
+        assert sign * pivot == want
+        if not want:
+            singular += 1
+            continue
+        x = [F(r[-1], pivot) for r in aug]
+        assert [sum(F(a) * xi for a, xi in zip(r, x)) for r in rows] == rhs
+    assert singular >= 10
+
+
+class TestSquarefreeCertificate:
+    def test_matches_euclid_over_q(self):
+        rng = random.Random(20151024)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            f = [rng.choice((-2, -1, 1, 3))]
+            for _ in range(rng.randint(1, 4)):
+                g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)]
+                for _ in range(rng.choice((1, 1, 2))):
+                    f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+                         for k in range(len(f) + len(g) - 1)]
+            want = _squarefree([F(c) for c in f])
+            assert is_squarefree(f) == want, f
+            seen[want] += 1
+        assert min(seen.values()) >= 50
+
+    def test_squares_at_every_small_prime_fall_back(self, monkeypatch):
+        exact = []
+        monkeypatch.setattr(
+            _zpoly, "_squarefree", lambda f: exact.append(f) or _squarefree(f)
+        )
+        # (x^2 + 1)(x^2 + 7)(x^2 + 127) is square-free, but not mod 3, 5 or
+        # 7, so only the exact test can say so
+        assert is_squarefree([889, 0, 1023, 0, 135, 0, 1]) and len(exact) == 1
+        assert not is_squarefree([1, 0, 2, 0, 1]) and len(exact) == 2  # (x^2 + 1)^2
+        assert is_squarefree([7, 0, 1]) and len(exact) == 2  # certified mod 3
