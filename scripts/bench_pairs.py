@@ -2,12 +2,13 @@
 
     python3 scripts/bench_pairs.py --parent REV --pr N \
         --workload geom-nf:10:1001 --workload geom-q:4:1101 ... \
-        [--change REV] [--seconds 32] [--claim TEXT] [--out BENCH_<N>.json]
+        [--change REV] [--claim TEXT] [--out BENCH_<N>.json]
 
 Each ``--workload NAME:PAIRS:FIRST_SEED`` runs PAIRS pairs on the seeds
 FIRST_SEED, FIRST_SEED + 1, ...  A pair is one run of
 ``perfbench/run.py --workload NAME --seed S --seconds T --trace 0`` on
-each side, each side an export in a fresh directory: the parent from
+each side, with T the ``run_seconds`` of ``BENCHMARK.json``, and each side
+an export in a fresh directory: the parent from
 ``git archive REV``, the change from ``git archive`` of ``--change`` or,
 by default, from the working tree (the tracked and the untracked files
 that ``.gitignore`` does not exclude).  The side that runs first
@@ -115,7 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:PAIRS:FIRST_SEED, repeatable")
-    parser.add_argument("--seconds", type=float, default=32)
     parser.add_argument("--claim", default="")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
@@ -126,12 +126,13 @@ def main(argv=None) -> int:
         plan.append((name, [int(first) + i for i in range(int(pairs))]))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
 
     result = {
         "pr": args.pr,
         "parent": git("rev-parse", "--short", args.parent).strip(),
         "description": (
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
             "--trace 0 on the parent and on the change, each from its files in a fresh "
             "directory, one pair per seed, the side that runs first alternating from "
             "pair to pair; medians and quartiles (inclusive method) over the pairs"
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
                    f"Python {platform.python_version()}",
-        "run_seconds": args.seconds,
+        "run_seconds": seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
                 index += 1
                 for side in order:
-                    runs[side].append(run_once(checkouts[side], name, seed, args.seconds))
+                    runs[side].append(run_once(checkouts[side], name, seed, seconds))
                 runs["seeds"].append(seed)
                 result["workloads"][name] = summarize(runs, metrics)
                 out_path.write_text(json.dumps(result, indent=1) + "\n")

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from random import Random
 from typing import Sequence
 
 from .exactfield import (
     _bareiss,
     _mult_matrix,
+    _over_common_den,
     _power_table,
     _primes,
     _primitive,
@@ -378,9 +378,10 @@ def norm(g: Sequence[Sequence[Fraction]], m: Sequence[Fraction]) -> list[Fractio
     the scaling and m's power table contribute.
     """
     table = _power_table(m)
-    den = lcm(*(c.denominator for coeffs in g for c in coeffs))
-    ints = integer_norm(
-        [[c.numerator * (den // c.denominator) for c in coeffs] for coeffs in g], table
+    d = len(m) - 1
+    nums, den = _over_common_den(
+        (c.numerator, c.denominator) for coeffs in g for c in coeffs
     )
-    scale = (table[1] * den) ** (len(m) - 1)
+    ints = integer_norm([nums[i : i + d] for i in range(0, len(nums), d)], table)
+    scale = (table[1] * den) ** d
     return [Fraction(c, scale) for c in ints]

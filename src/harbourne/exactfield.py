@@ -94,6 +94,15 @@ def _squarefree(a: Sequence[Rat]) -> bool:
 # fraction-free linear algebra modulo m
 
 
+def _over_common_den(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den) for fractions given as (numerator, denominator > 0)
+    pairs: den is their least common denominator and nums[i] / den the
+    i-th fraction."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
 def _power_table(min_poly: Sequence[Rat]) -> tuple[tuple, int]:
     """(rows, den): theta^(d+j) = sum(t * theta^i for i, t in rows[j]) / den
     modulo the monic min_poly of degree d, for j = 0 .. d-2, with each row
@@ -105,10 +114,12 @@ def _power_table(min_poly: Sequence[Rat]) -> tuple[tuple, int]:
         top = power[-1]
         power = [(power[i - 1] if i else 0) + top * powers[0][i] for i in range(d)]
         powers.append(power)
-    den = lcm(*(c.denominator for p in powers for c in p))
+    nums, den = _over_common_den(
+        (c.numerator, c.denominator) for p in powers for c in p
+    )
     rows = tuple(
-        tuple((i, c.numerator * (den // c.denominator)) for i, c in enumerate(p) if c)
-        for p in powers
+        tuple((i, t) for i, t in enumerate(nums[j * d : (j + 1) * d]) if t)
+        for j in range(len(powers))
     )
     return rows, den
 
@@ -141,8 +152,11 @@ def _bareiss(rows: list[list[int]], solve: bool = False) -> tuple[int, int]:
     sign * pivot, 0 when it is singular.  After step k every entry is a
     (k+1) x (k+1) minor, so each division by the previous pivot is exact
     (Bareiss 1968).  With ``solve`` the rows above each pivot are cleared
-    too (Gauss-Jordan), so a nonsingular left block ends as pivot * I and
-    each of the r right-hand columns as pivot times its solution.
+    too (Gauss-Jordan), so for a nonsingular left block each of the r
+    right-hand columns ends as pivot times its solution.  The left block
+    is not kept up to date: column k is only zeroed off the diagonal at
+    step k, so row i keeps its own pivot, not the last one, on the
+    diagonal; only the right-hand columns are meant to be read.
     """
     n = len(rows)
     prev, sign = 1, 1
@@ -227,8 +241,7 @@ class ExactField:
             for c in reversed(coeffs):
                 acc = acc * theta + c
             return acc
-        den = lcm(*(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        num, den = _over_common_den((c.numerator, c.denominator) for c in coeffs)
         return _element(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def zero(self) -> "FieldElement":
@@ -526,10 +539,7 @@ def roots_in_field(
     if len(poly) == 1:
         return []
     if field.is_rational:
-        den = lcm(*(c.den for c in poly))
-        ints = [c.num[0] * (den // c.den) for c in poly]
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
+        ints = _content_free(_over_common_den((c.num[0], c.den) for c in poly)[0])
         if len(ints) <= 3:
             return [(field.element(r), m) for r, m in _low_degree_roots(ints)]
         return [
@@ -627,13 +637,14 @@ def _low_degree_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
 
 def _primitive(coeffs: Sequence[Rat]) -> list[int]:
     """The integer polynomial with content 1 proportional to a nonzero one."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
+    return _content_free(
+        _over_common_den((c.numerator, c.denominator) for c in coeffs)[0]
+    )
+
+
+def _content_free(ints: Sequence[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content."""
+    content = gcd(*ints)
     return [c // content for c in ints]
 
 
@@ -706,9 +717,10 @@ def _number_field_roots(
     theta = field.generator()
     for s in range(_SHIFT_ATTEMPTS):
         shifted = kx_shift(work, theta * (-s))
-        den = lcm(*(c.den for c in shifted))
+        nums, _ = _over_common_den((n, c.den) for c in shifted for n in c.num)
+        d = field.degree
         norm = _zpoly.integer_norm(
-            [[n * (den // c.den) for n in c.num] for c in shifted], field._table
+            [nums[i : i + d] for i in range(0, len(nums), d)], field._table
         )
         if not _zpoly.is_squarefree(norm):
             continue
