@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import covers
 from .constraints import (
@@ -505,7 +506,11 @@ def cmd_fixtures(args, out) -> int:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by every later one
+    in the process; each subcommand keeps the cmd_* function bound then, so a
+    cmd_* monkeypatched after the first main() call does not take effect."""
     parser = argparse.ArgumentParser(
         prog="harbourne",
         description="Exact H-constants for line, conic and (1,1)-curve "
@@ -554,8 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (DocumentError, ProfileInvalidError) as err:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -216,13 +217,16 @@ def canonical_square_expr() -> FormalExpr:
     return FormalExpr({2: n2, 1: n1, 0: n0})
 
 
+@cache
 def unreduced_margin(n0: int) -> FormalExpr:
-    """3*e - K^2 at n = n0, before the k^2 elimination (degree 0 in n)."""
+    """3*e - K^2 at n = n0, before the k^2 elimination (degree 0 in n).
+    Cached per n0, like the margin below; the result is frozen, its terms read-only."""
     if n0 < 2:
         raise ValueError("cover order must be >= 2")
     return (euler_expr().scale(3) - canonical_square_expr()).eval_n(n0)
 
 
+@cache
 def miyaoka_yau_margin(n0: int) -> FormalExpr:
     """Reduced Miyaoka-Yau margin at n = n0: a linear form over
     {1, k, t2, S0, S1, S2} whose nonnegativity is the cover constraint."""

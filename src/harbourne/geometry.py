@@ -84,8 +84,8 @@ class ProjPoint:
     def __post_init__(self):
         if len(self.coords) != 3:
             raise ValueError("a projective point has three coordinates")
-        fields = {c.field for c in self.coords}
-        if len(fields) != 1:
+        first = self.coords[0].field
+        if any(c.field is not first and c.field != first for c in self.coords):
             raise GeometryError("coordinates must share one field")
         if all(c.is_zero() for c in self.coords):
             raise ValueError("(0:0:0) is not a projective point")
@@ -158,8 +158,8 @@ class PlaneCurve:
         expected = 3 if self.form is CurveForm.LINE else 6
         if len(self.coeffs) != expected:
             raise ValueError(f"{self.form.value} takes {expected} coefficients")
-        fields = {c.field for c in self.coeffs}
-        if len(fields) != 1:
+        first = self.coeffs[0].field
+        if any(c.field is not first and c.field != first for c in self.coeffs):
             raise GeometryError("coefficients must share one field")
         if all(c.is_zero() for c in self.coeffs):
             raise ValueError("zero coefficient vector")

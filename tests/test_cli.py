@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from conftest import SEVEN_POINTS, conic_through
 
 import harbourne
-from harbourne import cli, search
+from harbourne import cli, covers, search
 from harbourne.profiles import LINES
 from harbourne.search import SearchQuery, enumerate_profiles
 
@@ -453,6 +454,24 @@ def test_verify_covers_other_order():
     assert "closed_form" not in data["checks"]
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--n", "2", "--machine"], "verify_covers_n2_machine.txt"),
+        (["--n", "3", "--machine"], "verify_covers_n3_machine.txt"),
+        (["--n", "5", "--machine"], "verify_covers_n5_machine.txt"),
+        (["--n", "3"], "verify_covers_n3.txt"),
+    ],
+)
+def test_verify_covers_golden(argv, golden, capsys):
+    assert cli.main(["verify-covers", *argv]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8") and err == ""
+
+
 def test_fixtures():
     r = run_cli(["fixtures", "--machine"])
     assert r.returncode == 0, r.stderr
@@ -462,3 +481,82 @@ def test_fixtures():
     assert "klein-lines" in names and "conic-pencil" in names
     for row in data["rows"]:
         assert row["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser and one margin per process
+
+
+def run_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_reuse_matches_fresh_processes(monkeypatch, capsys):
+    # help text is wrapped to COLUMNS, here and in the subprocesses alike
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    sequence = [
+        "search --class line-p2 --k 4 --limit 5",
+        "search --class conic-p2 --k 6 --tk0 --filter lt --machine",
+        # the --filter list of the call before must not leak into this one
+        "search --class line-p2 --k 6 --machine",
+        "verify-covers --n 2 --machine",
+        # and the default n = 3 must come back
+        "verify-covers --machine",
+        "search --help",
+    ]
+    for command in sequence:
+        argv = command.split()
+        fresh = run_cli(argv)
+        assert run_in_process(argv, capsys) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), command
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    commands = (
+        ["search", "--class", "line-p2", "--k", "4", "--machine"],
+        ["fixtures", "--machine"],
+    )
+    assert cli.main(commands[0]) == cli.EXIT_OK
+    # the top-level parser and one per subcommand
+    assert built[0] == "harbourne" and len(built) == 7
+    for i in range(11):
+        assert cli.main(commands[i % 2]) == cli.EXIT_OK
+    assert len(built) == 7
+    capsys.readouterr()
+
+
+def test_cover_margin_is_evaluated_once_per_order(monkeypatch, capsys, tmp_path):
+    covers.unreduced_margin.cache_clear()
+    covers.miyaoka_yau_margin.cache_clear()
+    orders = []
+    eval_n = covers.FormalExpr.eval_n
+
+    def counting_eval_n(self, n0):
+        orders.append(n0)
+        return eval_n(self, n0)
+
+    monkeypatch.setattr(covers.FormalExpr, "eval_n", counting_eval_n)
+    doc = tmp_path / "quadric.json"
+    doc.write_text(json.dumps({"class": "one-one-quadric", "k": 4, "t": {"2": 12}}))
+    assert cli.main(["verify-covers", "--n", "3", "--machine"]) == cli.EXIT_OK
+    for _ in range(3):
+        assert cli.main(["analyze", str(doc), "--machine"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count('"cover_margin_n3"') == 3
+    assert orders == [3]

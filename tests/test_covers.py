@@ -211,3 +211,25 @@ class TestFormalExpr:
         vals = covers.symbol_values(5, {2: 20})  # 2*5*4 = 40 = 2*t2
         assert covers.quadric_identity_holds(5, {2: 20})
         assert reduced.evaluate(vals) == expr.evaluate(vals) == 25
+
+
+class TestMarginCache:
+    def test_bad_order_raises_on_every_call(self):
+        covers.unreduced_margin.cache_clear()
+        covers.miyaoka_yau_margin.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="cover order must be >= 2"):
+                covers.unreduced_margin(1)
+            with pytest.raises(ValueError, match="cover order must be >= 2"):
+                covers.miyaoka_yau_margin(1)
+        assert covers.unreduced_margin.cache_info().currsize == 0
+
+    def test_cached_margin_cannot_be_changed_by_a_caller(self):
+        margin = covers.miyaoka_yau_margin(3)
+        with pytest.raises(TypeError):
+            margin.terms[0] = {"k": F(1)}
+        with pytest.raises(TypeError):
+            margin.terms[0]["k"] = F(1)
+        coeff = margin.coefficient(0)
+        coeff["k"] = F(99)
+        assert covers.miyaoka_yau_margin(3) == covers.reduced_margin_closed_form()

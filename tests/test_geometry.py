@@ -65,6 +65,24 @@ class TestPoints:
         assert twin == p and hash(twin) == hash(p) and twin.sort_key() == key
         assert repr(p) == f"ProjPoint{p}" and "_key" not in repr(p)
 
+    def test_equal_fields_accepted_and_mixed_fields_rejected(self, monkeypatch):
+        # two distinct but equal fields: an identity-only check would refuse
+        a, b = ExactField((-5, 0, 1)), ExactField((-5, 0, 1))
+        assert a is not b and a == b
+        hashes = []
+        monkeypatch.setattr(ExactField, "__hash__", lambda f: hashes.append(f) or 0)
+        p = ProjPoint((a.element(1), b.generator(), a.element(2)))
+        assert p.field is a
+        coeffs = (b.element(1), a.generator(), b.element(3))
+        assert G.PlaneCurve(G.CurveForm.LINE, coeffs).field is b
+        # the field check compares fields and never hashes them
+        assert hashes == []
+        mixed = (a.element(1), a.element(2), SQRTM2.element(3))
+        with pytest.raises(GeometryError, match="^coordinates must share one field$"):
+            ProjPoint(mixed)
+        with pytest.raises(GeometryError, match="^coefficients must share one field$"):
+            G.PlaneCurve(G.CurveForm.LINE, mixed)
+
 
 class TestCurves:
     def test_degenerate_conic_rejected(self):
