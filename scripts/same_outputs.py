@@ -1,0 +1,125 @@
+"""Check that a change leaves every benchmark command's output unchanged.
+
+    python3 scripts/same_outputs.py --parent REV [--change REV]
+
+Both sides are exported as ``scripts/bench_pairs.py`` exports them: the
+parent by ``git archive REV``, the change by ``git archive`` of
+``--change`` or, by default, from the working tree.  Each side then runs,
+in one fresh interpreter, every command of the four benchmark workloads
+for the seeds 1, 2 and 3, warm-ups included, through its own
+``perfbench/passrun.run_command``, in its own ``perfbench/workloads``
+order.  The exit code, stdout and stderr of each command are compared
+between the sides, with the directory of the workload documents and the
+checkout's root written the same way on both (the ``cli`` parse-error
+command prints a document's path).  The script prints how many commands
+match, lists the first that differ, and exits 1 if any differs.  The
+exports live in a temporary directory (under ``$TMPDIR``) that is
+removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export_revision, export_working_tree  # noqa: E402
+
+SEEDS = (1, 2, 3)
+SHOWN = 10
+
+# Runs in a fresh interpreter: argv is ROOT DOCS OUT and the seeds.
+_DUMP = """
+import json, os, sys
+from pathlib import Path
+root, docs, out, *seeds = sys.argv[1:]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+import passrun, workloads
+from harbourne import cli
+rows = []
+for name in workloads.WORKLOADS:
+    for seed in map(int, seeds):
+        wl = workloads.build(name, seed, Path(docs, f"{name}-{seed}"))
+        for index, argv in enumerate([wl.warmup] + [c.argv for c in wl.commands]):
+            rc, stdout, stderr = passrun.run_command(cli, argv)
+            rows.append({"workload": name, "seed": seed, "index": index, "argv": argv,
+                         "rc": rc, "stdout": stdout, "stderr": stderr})
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump(rows, fh)
+"""
+
+
+def dump(checkout: Path, docs: Path, out: Path) -> list:
+    """Every command's (exit code, stdout, stderr) on one side, with the
+    document directory written as ``<docs>`` and the checkout as ``<root>``."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DUMP, str(checkout), str(docs), str(out),
+         *map(str, SEEDS)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout.name}: the commands did not run: "
+                         f"{proc.stderr.strip()[-2000:]}")
+    text = out.read_text(encoding="utf-8")
+    for path, name in ((docs, "<docs>"), (checkout, "<root>")):
+        # paths as they appear inside JSON strings
+        text = text.replace(json.dumps(str(path))[1:-1], name)
+    return json.loads(text)
+
+
+def compare(parent: list, change: list) -> tuple[int, list[str]]:
+    """(matching commands, one line per differing command) of two dumps."""
+    same, diffs = 0, []
+    for p, c in zip(parent, change):
+        where = f"{p['workload']} seed {p['seed']} #{p['index']}: {' '.join(p['argv'])}"
+        if [p[k] for k in ("workload", "seed", "index", "argv")] != [
+            c[k] for k in ("workload", "seed", "index", "argv")
+        ]:
+            diffs.append(f"{where}: the change runs {' '.join(c['argv'])} here")
+            continue
+        fields = [k for k in ("rc", "stdout", "stderr") if p[k] != c[k]]
+        if fields:
+            diffs.append(f"{where}: {', '.join(fields)} differ")
+        else:
+            same += 1
+    if len(parent) != len(change):
+        diffs.append(f"the parent runs {len(parent)} commands, the change {len(change)}")
+    return same, diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", help="git revision of the change (default: working tree)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        dumps = {}
+        for side in ("parent", "change"):
+            checkout = Path(tmp) / side
+            rev = args.parent if side == "parent" else args.change
+            if rev:
+                export_revision(rev, checkout)
+            else:
+                checkout.mkdir()
+                export_working_tree(checkout)
+            dumps[side] = dump(checkout, Path(tmp) / f"{side}-docs", Path(tmp) / f"{side}.json")
+    same, diffs = compare(dumps["parent"], dumps["change"])
+    total = max(len(dumps["parent"]), len(dumps["change"]))
+    print(f"{same} of {total} commands byte-identical (workloads x seeds "
+          f"{', '.join(map(str, SEEDS))}, warm-ups included)")
+    for line in diffs[:SHOWN]:
+        print("  " + line)
+    if len(diffs) > SHOWN:
+        print(f"  ... and {len(diffs) - SHOWN} more")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Integer polynomials: factoring over Z and norms down to Q[x].
+"""Integer polynomials: factoring over Z and norms down to Z[x].
 
 Only the number-field code imports this module, and lazily, so the
 rational paths never load it.  Polynomials are lists of coefficients,
@@ -7,39 +7,40 @@ low to high.
 Factoring over Z is the Zassenhaus algorithm (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 14-15).  Of the first few odd
 primes p that keep f square-free of the same degree, the one giving the
-fewest factors mod p is used.  The factors come from distinct-degree
-splitting, then Cantor-Zassenhaus equal-degree splitting with a
-fixed-seed generator, so the output is deterministic.  A balanced tree of
-quadratic Hensel steps (Algorithm 15.10) lifts them to a modulus
-p^(2^e) > 2 |lc(f)| 2^n ||f||_2.  Every integer factor's associate with
-leading coefficient lc(f) then has coefficients below half the modulus,
-so subsets of lifted factors are recombined by exact trial division.
+fewest factors mod p is used.  The same prime loop decides whether f is
+square-free at all: one such p proves it, and only when the first
+``_SQUAREFREE_PRIMES`` candidates all fail does Euclid over Q decide;
+:func:`factor_squarefree` returns None for an f that is not.  The
+factors come from distinct-degree splitting, then Cantor-Zassenhaus
+equal-degree splitting with a fixed-seed generator, so the output is
+deterministic.  A balanced tree of quadratic Hensel steps (Algorithm
+15.10) lifts them to a modulus p^(2^e) > 2 |lc(f)| 2^n ||f||_2.  Every
+integer factor's associate with leading coefficient lc(f) then has
+coefficients below half the modulus, so subsets of lifted factors are
+recombined by exact trial division.
 
 The norm of g in K[x], K = Q[theta]/(m), is Res_theta(m, g): the
 determinant of multiplication by g(x0, theta) on K, taken at
-deg_x(g) * deg(m) + 1 integers x0 and interpolated (Trager 1976).  With
-the denominators cleared first, each determinant is a Bareiss
-elimination over Z and the interpolation divides exactly.  A norm is
-certified square-free by a coprime derivative modulo a small prime,
-with Euclid over Q only as the fallback.
+deg_x(g) * deg(m) + 1 integers x0 and interpolated (Trager 1976).
+:func:`integer_norm` takes g with its denominators already cleared, so
+each determinant is a Bareiss elimination over Z and the interpolation
+divides exactly; there is no Fraction-level wrapper.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 from typing import Sequence
 
 from .exactfield import (
+    RATIONALS,
     _bareiss,
     _mult_matrix,
-    _over_common_den,
-    _power_table,
     _primes,
     _primitive,
-    _pstrip,
-    _squarefree,
+    kx_derivative,
+    kx_gcd,
 )
 
 _PRIMES_TRIED = 5
@@ -49,6 +50,12 @@ _SEED = 20150923
 
 # ---------------------------------------------------------------------------
 # polynomials mod m, coefficients in [0, m)
+
+
+def _pstrip(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _add(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
@@ -169,16 +176,27 @@ def _equal_degree(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
             return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]]:
-    """A prime p and the monic irreducible factors of f mod p."""
+def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]] | None:
+    """A prime p and the monic irreducible factors of f mod p, or None when
+    f is not square-free.
+
+    A square factor of f stays a square factor mod every prime p not
+    dividing lc(f), so one p with gcd(f, f') = 1 mod p proves f
+    square-free.  The converse can fail only at primes dividing the
+    discriminant; when the first few candidate primes all fail, Euclid
+    over Q decides.
+    """
     best = None
-    tried = 0
+    tried = failed = 0
     for p in _primes():
         if p == 2 or f[-1] % p == 0:
             continue
         fp = _monic([c % p for c in f], p)
         deriv = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
         if not deriv or len(_gcd(fp, deriv, p)) > 1:
+            failed += 1
+            if failed == _SQUAREFREE_PRIMES and best is None and not _squarefree(f):
+                return None
             continue
         split = _distinct_degree(fp, p)
         count = sum((len(g) - 1) // d for g, d in split)
@@ -190,6 +208,12 @@ def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]]:
     _, p, split = best
     rng = Random(_SEED)
     return p, [q for g, d in split for q in _equal_degree(g, d, p, rng)]
+
+
+def _squarefree(f: Sequence[int]) -> bool:
+    """Euclid over Q: whether gcd(f, f') is a constant."""
+    g = [RATIONALS.element(c) for c in f]
+    return len(kx_gcd(g, kx_derivative(g))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +276,16 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return quot if not any(rem[:db]) else None
 
 
-def _zassenhaus(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a square-free primitive f with lc > 0."""
+def _zassenhaus(f: list[int]) -> list[list[int]] | None:
+    """Irreducible factors of a primitive f with lc > 0, or None when f is
+    not square-free."""
     n = len(f) - 1
     if n <= 1:
         return [f]
-    p, factors = _modular_factors(f)
+    modular = _modular_factors(f)
+    if modular is None:
+        return None
+    p, factors = modular
     if len(factors) == 1:
         return [f]
     lc = f[-1]
@@ -294,9 +322,9 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
 # public entry points
 
 
-def factor_squarefree(f: Sequence[int]) -> list[list[int]]:
-    """The irreducible factors over Z of a square-free integer polynomial
-    of positive degree.
+def factor_squarefree(f: Sequence[int]) -> list[list[int]] | None:
+    """The irreducible factors over Z of an integer polynomial of positive
+    degree, or None when it is not square-free.
 
     Each factor is primitive with a positive leading coefficient.  They
     come in the order of sympy's ``factor_list``: by degree, then by
@@ -305,28 +333,10 @@ def factor_squarefree(f: Sequence[int]) -> list[list[int]]:
     f = _primitive(f)
     if f[-1] < 0:
         f = [-c for c in f]
-    return sorted(_zassenhaus(f), key=lambda q: (len(q), q[::-1]))
-
-
-def is_squarefree(f: Sequence[int]) -> bool:
-    """Whether an integer polynomial of positive degree is square-free.
-
-    A square factor g^2 of f over Z stays a square factor of f mod p for
-    every prime p not dividing lc(f), so gcd(f, f') = 1 mod one such p
-    proves f square-free.  The converse can fail only at primes dividing
-    the discriminant; when the first few odd primes all fail, the answer
-    is Euclid's over Q.
-    """
-    deriv = [i * c for i, c in enumerate(f)][1:]
-    tried = 0
-    for p in _primes():
-        if p == 2 or f[-1] % p == 0:
-            continue
-        if len(_gcd(f, deriv, p)) == 1:
-            return True
-        tried += 1
-        if tried == _SQUAREFREE_PRIMES:
-            return _squarefree([Fraction(c) for c in f])
+    factors = _zassenhaus(f)
+    if factors is None:
+        return None
+    return sorted(factors, key=lambda q: (len(q), q[::-1]))
 
 
 def integer_norm(g: Sequence[Sequence[int]], table: tuple[tuple, int]) -> list[int]:
@@ -367,21 +377,3 @@ def integer_norm(g: Sequence[Sequence[int]], table: tuple[tuple, int]) -> list[i
         nxt[0] += coef[i]
         out = nxt
     return _pstrip(out)
-
-
-def norm(g: Sequence[Sequence[Fraction]], m: Sequence[Fraction]) -> list[Fraction]:
-    """Res_theta(m, g) in Q[x] for monic m and g in (Q[theta]/(m))[x].
-
-    ``g`` lists the coefficient vectors (each of length deg m) of the
-    powers of x.  Their denominators are cleared once, and
-    :func:`integer_norm` of the scaled g is divided by the constant that
-    the scaling and m's power table contribute.
-    """
-    table = _power_table(m)
-    d = len(m) - 1
-    nums, den = _over_common_den(
-        (c.numerator, c.denominator) for coeffs in g for c in coeffs
-    )
-    ints = integer_norm([nums[i : i + d] for i in range(0, len(nums), d)], table)
-    scale = (table[1] * den) ** d
-    return [Fraction(c, scale) for c in ints]

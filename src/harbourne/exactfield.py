@@ -17,29 +17,38 @@ denominator (m need not have integer coefficients).  An inverse solves
 elimination over Z (Bareiss), whose divisions are all exact; the norm in
 :mod:`harbourne._zpoly` takes its determinants the same way.
 
-A field is accepted only if m is irreducible over Q: its primitive
-integer form must be square-free with a single irreducible factor over Z.
+A field is accepted only if m has degree at most ``MAX_FIELD_DEGREE``
+and is irreducible over Q: its primitive integer form must be square-free
+with a single irreducible factor over Z.
 
-Root extraction for univariate polynomials over the field is provided in
-:func:`roots_in_field`.  Over Q, linear and quadratic polynomials are
-solved directly; otherwise the rational roots come from a p-adic lift:
-roots modulo a small prime are Newton-lifted to a power of it and turned
-back into fractions by rational reconstruction, in time polynomial in
-the bit size of the coefficients (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 15).  Over a number field it is a norm/shift
-argument (Trager 1976): shift x by integer multiples of theta until the
-norm (a resultant down to Q[x]) is square-free, factor the norm over Z,
-and read off the in-field roots as the linear gcds.  The integer
-polynomial work (norms, square-freeness, factoring) lives in
-:mod:`harbourne._zpoly`, imported only by the number-field paths;
-everything in K[x] is done here.
+Root extraction for univariate polynomials over the field is one skeleton
+for every field, :func:`roots_in_field`.  A linear polynomial is answered
+directly, and so is a quadratic over Q, by its discriminant.  Any other f
+goes through one square-free chain c0 = monic f, c(i+1) = gcd(c(i),
+c(i)'): c0 / c1 is the square-free part of f, and a root of f has
+multiplicity 1 + the number of c1, c2, ... it is a root of, so a
+square-free f (the transversal case) needs no further work.  Only the
+distinct roots of the square-free part are found per field.  Over Q they
+come from a p-adic lift: roots modulo a small prime are Newton-lifted to a
+power of it and turned back into fractions by rational reconstruction, in
+time polynomial in the bit size of the coefficients (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 15).  Over a number field it is a
+norm/shift argument (Trager 1976): shift x by integer multiples of theta
+until the norm (a resultant down to Q[x]) is square-free, factor the norm
+over Z, and read off the in-field roots as the linear gcds.  That argument
+needs its input square-free, which the chain guarantees: for a
+polynomial with a repeated root no shift works, and the search stops with
+an ``AssertionError`` after the C(deg f * d, 2) + 1 shifts that suffice
+for a square-free one.  The integer polynomial work (norms, factoring
+with its square-free test) lives in :mod:`harbourne._zpoly`, imported
+only by the number-field paths; everything in K[x] is done here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .profiles import HarbourneError
@@ -51,43 +60,12 @@ class FieldError(HarbourneError):
     """Structural problem with a field or a cross-field operation."""
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (low -> high coefficients)
-
-
-def _pstrip(p: list[Rat]) -> list[Rat]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pdivmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
-    b = _pstrip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Rat(0)] * max(0, len(rem) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(_pstrip(rem)) >= len(b):
-        rem = _pstrip(rem)
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] -= factor * bi
-    return _pstrip(quot), _pstrip(rem)
-
-
-def _pgcd(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    """Euclid: a greatest common divisor (not made monic)."""
-    r0, r1 = _pstrip(list(a)), _pstrip(list(b))
-    while r1:
-        r0, r1 = r1, _pdivmod(r0, r1)[1]
-    return r0
-
-
-def _squarefree(a: Sequence[Rat]) -> bool:
-    return len(_pgcd(a, [c * i for i, c in enumerate(a)][1:])) == 1
+# The largest min_poly degree a field may have.  The Zassenhaus
+# recombination that proves min_poly irreducible can try up to 2^(d/2 - 1)
+# subsets of modular factors (every prime splits a Swinnerton-Dyer
+# polynomial into factors of degree <= 2): 0.03 s at d = 16, seconds at
+# d = 32, more than two minutes at d = 64.
+MAX_FIELD_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +186,15 @@ class ExactField:
             )
         if coeffs[-1] != 1:
             raise FieldError("min_poly must be monic")
+        if len(coeffs) - 1 > MAX_FIELD_DEGREE:
+            raise FieldError(
+                f"min_poly has degree {len(coeffs) - 1}; the largest field degree "
+                f"supported is {MAX_FIELD_DEGREE}"
+            )
         from ._zpoly import factor_squarefree
 
-        if not _squarefree(coeffs) or len(factor_squarefree(_primitive(coeffs))) > 1:
+        factors = factor_squarefree(_primitive(coeffs))
+        if factors is None or len(factors) > 1:
             raise FieldError("min_poly is reducible over Q")
         object.__setattr__(self, "_table", _power_table(coeffs))
 
@@ -507,6 +491,14 @@ def kx_derivative(f: Sequence[FieldElement]) -> list[FieldElement]:
     return kx_strip([c * i for i, c in enumerate(f)][1:])
 
 
+def kx_evaluate(f: Sequence[FieldElement], x: FieldElement) -> FieldElement:
+    """f(x) by Horner."""
+    acc = f[-1]
+    for c in reversed(f[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def kx_shift(f: Sequence[FieldElement], c: FieldElement) -> list[FieldElement]:
     """f(x + c) by Horner on (x + c)."""
     field = c.field
@@ -538,56 +530,50 @@ def roots_in_field(
         raise ValueError("the zero polynomial has every element as a root")
     if len(poly) == 1:
         return []
+    if len(poly) == 2:
+        return [(-poly[0] / poly[1], 1)]
+    if field.is_rational and len(poly) == 3:
+        return [(field.element(r), m) for r, m in _quadratic_roots(_integers(poly))]
+    # c0 = monic f, c(i+1) = gcd(c(i), c(i)'); a root of f lies on exactly
+    # multiplicity - 1 of c1, c2, ..., and c0 / c1 is the square-free part
+    chain = [kx_monic(poly)]
+    while len(chain[-1]) > 1:
+        chain.append(kx_gcd(chain[-1], kx_derivative(chain[-1])))
+    squarefree = chain[0] if len(chain) == 2 else kx_divmod(chain[0], chain[1])[0]
     if field.is_rational:
-        ints = _content_free(_over_common_den((c.num[0], c.den) for c in poly)[0])
-        if len(ints) <= 3:
-            return [(field.element(r), m) for r, m in _low_degree_roots(ints)]
-        return [
-            (field.element(r), _multiplicity(ints, r.numerator, r.denominator))
-            for r in _rational_roots([Rat(c) for c in ints])
-        ]
-    roots = _number_field_roots(poly, field)
+        roots = [field.element(r) for r in _rational_roots(_integers(squarefree))]
+    else:
+        roots = _number_field_roots(squarefree, field)
     out = []
     for root in roots:
-        mult = 0
-        work = poly
-        while True:
-            quot, rem = kx_divmod(work, [-root, field.one()])
-            if rem:
-                break
+        mult = 1
+        while kx_evaluate(chain[mult], root).is_zero():
             mult += 1
-            work = quot
-        if mult:
-            out.append((root, mult))
+        out.append((root, mult))
     return out
 
 
-def _rational_roots(coeffs: Sequence[Rat]) -> list[Rat]:
-    """Distinct rational roots: 0 first, then by (|numerator|, denominator),
-    a positive root before its negative.
+def _rational_roots(ints: Sequence[int]) -> list[Rat]:
+    """Distinct rational roots of a square-free integer polynomial of
+    positive degree and content 1: 0 first, then by (|numerator|,
+    denominator), a positive root before its negative.
 
-    Every rational root of the square-free primitive part
-    f = a_n x^n + ... + a_0 is some a/b with a | a_0 and b | a_n.  Modulo
-    the smallest prime p that does not divide a_n and at which every root
-    of f is simple, each rational root is one of those roots mod p.  Newton
-    iteration lifts each to a root mod M = p^(2^j) > 2|a_0||a_n|, where a/b
-    is the only fraction with |a| <= |a_0| and 0 < b <= |a_n| congruent to
-    it, recovered by the half-extended Euclidean algorithm.  Each candidate
-    is kept only if f(a/b) = 0 exactly, so the cost is polynomial in the
-    bit size of the coefficients.
+    Past the root 0, every rational root of f = a_n x^n + ... + a_0 is some
+    a/b with a | a_0 and b | a_n.  Modulo the smallest prime p that does
+    not divide a_n and at which every root of f is simple, each rational
+    root is one of those roots mod p.  Newton iteration lifts each to a
+    root mod M = p^(2^j) > 2|a_0||a_n|, where a/b is the only fraction with
+    |a| <= |a_0| and 0 < b <= |a_n| congruent to it, recovered by the
+    half-extended Euclidean algorithm.  Each candidate is kept only if
+    f(a/b) = 0 exactly, so the cost is polynomial in the bit size of the
+    coefficients.
     """
-    poly = _pstrip(list(coeffs))
     roots: list[Rat] = []
-    if poly and not poly[0]:
+    if not ints[0]:
         roots.append(Rat(0))
-        while not poly[0]:
-            poly.pop(0)
-    if len(poly) <= 1:
+        ints = ints[1:]
+    if len(ints) == 1:
         return roots
-    g = _pgcd(poly, [c * i for i, c in enumerate(poly)][1:])
-    if len(g) > 1:
-        poly, _ = _pdivmod(poly, g)
-    ints = _primitive(poly)
     deriv = [c * i for i, c in enumerate(ints)][1:]
     a_max, b_max = abs(ints[0]), abs(ints[-1])
 
@@ -619,11 +605,9 @@ def _root_order(c: Rat) -> tuple:
     return abs(c.numerator), c.denominator, c < 0
 
 
-def _low_degree_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
-    """Rational roots with multiplicities of a linear or quadratic integer
-    polynomial, in :func:`_rational_roots` order."""
-    if len(ints) == 2:
-        return [(Rat(-ints[0], ints[1]), 1)]
+def _quadratic_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
+    """Rational roots with multiplicities of an integer quadratic
+    [c, b, a], in :func:`_rational_roots` order."""
     c, b, a = ints
     disc = b * b - 4 * a * c
     root = isqrt(disc) if disc >= 0 else -1
@@ -633,6 +617,12 @@ def _low_degree_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
         return [(Rat(-b, 2 * a), 2)]
     pair = sorted((Rat(-b + root, 2 * a), Rat(-b - root, 2 * a)), key=_root_order)
     return [(r, 1) for r in pair]
+
+
+def _integers(poly: Sequence[FieldElement]) -> list[int]:
+    """The integer polynomial with content 1 proportional to a nonzero
+    one over Q."""
+    return _content_free(_over_common_den((c.num[0], c.den) for c in poly)[0])
 
 
 def _primitive(coeffs: Sequence[Rat]) -> list[int]:
@@ -646,28 +636,6 @@ def _content_free(ints: Sequence[int]) -> list[int]:
     """A nonzero integer polynomial divided by its content."""
     content = gcd(*ints)
     return [c // content for c in ints]
-
-
-def _multiplicity(ints: Sequence[int], a: int, b: int) -> int:
-    """How often b*x - a (b > 0, gcd(a, b) = 1) divides an integer polynomial.
-
-    By Gauss's lemma b*x - a divides it over Q only if it does over Z, so
-    synthetic division over Z stops at the first coefficient b does not
-    divide, or at a nonzero remainder.
-    """
-    mult = 0
-    while True:
-        quot, carry = [], 0
-        for c in reversed(ints[1:]):
-            q, r = divmod(c + carry, b)
-            if r:
-                return mult
-            quot.append(q)
-            carry = a * q
-        if ints[0] + carry:
-            return mult
-        mult += 1
-        ints = quot[::-1]
 
 
 def _primes() -> Iterable[int]:
@@ -694,43 +662,41 @@ def _eval_homogeneous(ints: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-_SHIFT_ATTEMPTS = 64
-
-
 def _number_field_roots(
     poly: list[FieldElement], field: ExactField
 ) -> list[FieldElement]:
-    """Distinct roots in Q[theta]/(m) via the square-free norm trick.
+    """Distinct roots in Q[theta]/(m) of a square-free monic poly of degree
+    n, by the norm trick (Trager 1976).
 
-    Roots come in the order of the norm's irreducible factors in
-    :func:`harbourne._zpoly.factor_squarefree`.
+    The norm of poly(x - s theta) has the n d roots alpha + s sigma(theta),
+    for the roots alpha of the conjugates poly^sigma.  Two of them with the
+    same sigma never coincide, since poly is square-free, and two with
+    different sigma coincide for at most one s.  So one of the first
+    C(n d, 2) + 1 shifts s gives a square-free norm; if none does, poly has
+    a repeated root.  Roots come in the order of the norm's irreducible
+    factors in :func:`harbourne._zpoly.factor_squarefree`.
     """
     from . import _zpoly
 
-    # square-free part, monic
-    work = kx_monic(poly)
-    g = kx_gcd(work, kx_derivative(work))
-    if len(g) > 1:
-        work, _ = kx_divmod(work, g)
-        work = kx_monic(work)
-
     theta = field.generator()
-    for s in range(_SHIFT_ATTEMPTS):
-        shifted = kx_shift(work, theta * (-s))
+    d = field.degree
+    for s in range(comb((len(poly) - 1) * d, 2) + 1):
+        shifted = kx_shift(poly, theta * (-s))
         nums, _ = _over_common_den((n, c.den) for c in shifted for n in c.num)
-        d = field.degree
         norm = _zpoly.integer_norm(
             [nums[i : i + d] for i in range(0, len(nums), d)], field._table
         )
-        if not _zpoly.is_squarefree(norm):
+        factors = _zpoly.factor_squarefree(norm)
+        if factors is None:
             continue
         roots = []
-        for factor in _zpoly.factor_squarefree(norm):
-            if len(factor) - 1 > field.degree:
+        for factor in factors:
+            if len(factor) - 1 > d:
                 continue
             h = kx_gcd(shifted, [field.element(c) for c in factor])
             if len(h) == 2:  # linear: x - rho
-                rho = -h[0]
-                roots.append(rho - theta * s)
+                roots.append(-h[0] - theta * s)
         return roots
-    raise FieldError("could not separate conjugate roots; shift search exhausted")
+    raise AssertionError(
+        "no shift gives a square-free norm: the polynomial has a repeated root"
+    )

@@ -510,40 +510,19 @@ def _split_degenerate(m: Mat3, field: ExactField) -> list[PlaneCurve] | None:
                 l = PlaneCurve(CurveForm.LINE, coeffs)
                 return [l, l]
         return None  # rank-1 with zero diagonal cannot occur for symmetric m
-    # rank 2: lines through the kernel point; restrict to a complementary
-    # coordinate pair
-    es = [
-        (field.one(), field.zero(), field.zero()),
-        (field.zero(), field.one(), field.zero()),
-        (field.zero(), field.zero(), field.one()),
-    ]
-    for e1, e2 in combinations(es, 2):
-        if not det3((v, e1, e2)).is_zero():
-            break
-    else:
-        raise AssertionError("kernel vector cannot be completed to a basis")
-
-    def quad(u):
-        return sum(
-            (m[i][j] * u[i] * u[j] for i in range(3) for j in range(3)),
-            field.zero(),
-        )
-
-    def pair(u, w):
-        return sum(
-            (m[i][j] * u[i] * w[j] for i in range(3) for j in range(3)),
-            field.zero(),
-        )
-
-    alpha = quad(e1)
-    gamma = quad(e2)
-    beta = pair(e1, e2) * 2
-    roots, found = binary_form_roots([gamma, beta, alpha], field)
+    # rank 2: lines through the kernel point v.  With c the last coordinate
+    # where v is nonzero, the unit vectors e_a, e_b (a < b) of the other two
+    # complete v to a basis, and m restricted to their span is the binary
+    # quadratic m[a][a] s^2 + 2 m[a][b] s w + m[b][b] w^2.
+    c = next(i for i in (2, 1, 0) if not v[i].is_zero())
+    a, b = (i for i in range(3) if i != c)
+    roots, found = binary_form_roots([m[b][b], m[a][b] * 2, m[a][a]], field)
     if found < 2:
         return None
     lines = []
     for (s, w), mult in roots:
-        direction = tuple(s * a + w * b for a, b in zip(e1, e2))
+        direction = [field.zero()] * 3
+        direction[a], direction[b] = s, w
         coeffs = cross(v, direction)
         l = PlaneCurve(CurveForm.LINE, coeffs)
         lines.extend([l] * mult)

@@ -128,3 +128,36 @@ def conic_through(points):
     d2 = product(join(p[0], p[2]), join(p[1], p[3]))
     v1, v2 = value(d1, p[4]), value(d2, p[4])
     return tuple(v1 * y - v2 * x for x, y in zip(d1, d2))
+
+
+def swinnerton_dyer(n: int) -> list[int]:
+    """The minimal polynomial of sqrt 2 + sqrt 3 + ... over the first n
+    primes, of degree 2^n, low to high.
+
+    Each prime p maps f to f(x + sqrt p) f(x - sqrt p) = A(x)^2 - p B(x)^2,
+    where f(x + y) = A(x) + y B(x) modulo y^2 = p, from the Taylor terms
+    f^(k)(x) / k!.
+    """
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    f = [0, 1]
+    for p in (2, 3, 5, 7, 11, 13)[:n]:
+        a, b = [0] * len(f), [0] * len(f)
+        term = f
+        for k in range(len(f)):
+            if k:  # f^(k) / k! from f^(k-1) / (k-1)!
+                term = [c * i // k for i, c in enumerate(term)][1:]
+            part = b if k % 2 else a
+            for i, c in enumerate(term):
+                part[i] += p ** (k // 2) * c
+        f = [x - p * y for x, y in zip(mul(a, a), mul(b, b))]
+        while not f[-1]:
+            f.pop()
+    return f
+

@@ -9,7 +9,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from conftest import SEVEN_POINTS, conic_through
+from conftest import SEVEN_POINTS, conic_through, swinnerton_dyer
 
 import harbourne
 from harbourne import cli, covers, search
@@ -289,6 +289,28 @@ def test_geom_reducible_field_rejected(tmp_path):
     r = run_cli(["geom", str(doc), "--machine"], timeout=10)
     assert r.returncode == 1
     assert "min_poly is reducible" in r.stderr
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_geom_over_a_field_past_the_degree_limit_exits_1(tmp_path, n):
+    # Swinnerton-Dyer fields of degree 32 and 64: proving them irreducible
+    # takes seconds and minutes, so they are refused before any factoring
+    doc = tmp_path / f"sd{n}.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "number-field", "min_poly": swinnerton_dyer(n)},
+                "curves": [
+                    {"type": "line", "coeffs": [1, 0, 0]},
+                    {"type": "line", "coeffs": [0, 1, 0]},
+                ],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"], timeout=5)
+    assert r.returncode == 1
+    assert f"min_poly has degree {2**n}" in r.stderr
+    assert "largest field degree supported is 16" in r.stderr
 
 
 def test_geom_number_field_document(tmp_path):

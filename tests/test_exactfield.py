@@ -3,22 +3,24 @@ from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
+from conftest import swinnerton_dyer
 from hypothesis import given, strategies as st
 
 from harbourne import _zpoly
-from harbourne._zpoly import is_squarefree
+from harbourne._zpoly import factor_squarefree
 from harbourne.exactfield import (
     ExactField,
     FieldElement,
     FieldError,
+    MAX_FIELD_DEGREE,
     RATIONALS,
     _bareiss,
-    _multiplicity,
+    _number_field_roots,
     _primitive,
     _rational_roots,
-    _squarefree,
     kx_divmod,
     kx_gcd,
+    kx_monic,
     kx_shift,
     roots_in_field,
 )
@@ -360,21 +362,22 @@ class TestRationalRootsOracle:
         rng = random.Random(20150620)
         for _ in range(200):
             poly = _random_root_poly(rng)
-            assert _rational_roots(poly) == _rational_roots_by_divisors(poly), poly
+            got = roots_in_field([RATIONALS.element(c) for c in poly], RATIONALS)
+            assert [r.as_rational() for r, _ in got] == _rational_roots_by_divisors(poly), poly
 
     def test_order_zero_then_size_positive_first(self):
-        # x (x - 1/2)(x + 1/2)(x + 3)(x - 2)
+        # x (x - 1/2)(x + 1/2)(x + 3)(x - 2), square-free
         poly = [F(1)]
         for root in (F(0), F(1, 2), F(-1, 2), F(-3), F(2)):
             poly = _qmul(poly, [-root, F(1)])
-        assert _rational_roots(poly) == [F(0), F(1, 2), F(-1, 2), F(2), F(-3)]
+        assert _rational_roots(_primitive(poly)) == [F(0), F(1, 2), F(-1, 2), F(2), F(-3)]
 
     def test_large_coefficients(self):
         # roots whose numerators and denominators have 25 digits
         big = F(10**24 + 7, 10**24 + 9)
         poly = _qmul([-big, F(1)], [big, F(1)])  # x^2 - big^2
-        assert _rational_roots(poly) == [big, -big]
-        assert _rational_roots([F(-(10**24 + 7)), F(0), F(1)]) == []
+        assert _rational_roots(_primitive(poly)) == [big, -big]
+        assert _rational_roots([-(10**24 + 7), 0, 1]) == []
 
     @given(
         st.dictionaries(
@@ -394,20 +397,22 @@ class TestRationalRootsOracle:
         assert len(got) == len(chosen)
 
 
+def _divisions(f, root):
+    """How often x - root divides f, by repeated division over K[x]."""
+    mult, work = 0, f
+    while True:
+        quot, rem = kx_divmod(work, [-root, root.field.one()])
+        if rem:
+            return mult
+        mult, work = mult + 1, quot
+
+
 def _multiplicities_by_kx_divmod(poly):
-    """Each rational root's multiplicity by repeated division over K[x]."""
+    """Each rational root (by divisor enumeration) with its multiplicity
+    by repeated division over K[x]."""
     f = [RATIONALS.element(c) for c in poly]
-    out = []
-    for root in _rational_roots(poly):
-        x = RATIONALS.element(root)
-        mult, work = 0, f
-        while True:
-            quot, rem = kx_divmod(work, [-x, RATIONALS.one()])
-            if rem:
-                break
-            mult, work = mult + 1, quot
-        out.append((x, mult))
-    return out
+    roots = [RATIONALS.element(r) for r in _rational_roots_by_divisors(poly)]
+    return [(x, _divisions(f, x)) for x in roots]
 
 
 class TestRationalMultiplicities:
@@ -455,11 +460,7 @@ class TestLowDegreeRoots:
                 poly = [F(rng.randint(-9, 9)), F(rng.randint(-9, 9)), F(rng.randint(1, 9))]
             scale = F(rng.choice([-3, 1, 2]), rng.randint(1, 4))
             poly = [c * scale for c in poly]
-            ints = _primitive(poly)
-            want = [
-                (RATIONALS.element(r), _multiplicity(ints, r.numerator, r.denominator))
-                for r in _rational_roots(poly)
-            ]
+            want = _multiplicities_by_kx_divmod(poly)
             got = roots_in_field([RATIONALS.element(c) for c in poly], RATIONALS)
             assert got == want, poly
             seen["double"] += any(m == 2 for _, m in got)
@@ -728,6 +729,13 @@ def test_bareiss_determinants_and_solutions():
     assert singular >= 10
 
 
+def _euclid_squarefree(f):
+    """Whether gcd(f, f') over Q is a constant, by the Fraction reference."""
+    poly = [F(c) for c in f]
+    g, _, _ = _ref_pxgcd(poly, [c * i for i, c in enumerate(poly)][1:])
+    return len(g) == 1
+
+
 class TestSquarefreeCertificate:
     def test_matches_euclid_over_q(self):
         rng = random.Random(20151024)
@@ -739,18 +747,101 @@ class TestSquarefreeCertificate:
                 for _ in range(rng.choice((1, 1, 2))):
                     f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
                          for k in range(len(f) + len(g) - 1)]
-            want = _squarefree([F(c) for c in f])
-            assert is_squarefree(f) == want, f
+            want = _euclid_squarefree(f)
+            assert (factor_squarefree(f) is not None) == want, f
             seen[want] += 1
         assert min(seen.values()) >= 50
 
     def test_squares_at_every_small_prime_fall_back(self, monkeypatch):
         exact = []
+        euclid = _zpoly._squarefree
         monkeypatch.setattr(
-            _zpoly, "_squarefree", lambda f: exact.append(f) or _squarefree(f)
+            _zpoly, "_squarefree", lambda f: exact.append(f) or euclid(f)
         )
         # (x^2 + 1)(x^2 + 7)(x^2 + 127) is square-free, but not mod 3, 5 or
         # 7, so only the exact test can say so
-        assert is_squarefree([889, 0, 1023, 0, 135, 0, 1]) and len(exact) == 1
-        assert not is_squarefree([1, 0, 2, 0, 1]) and len(exact) == 2  # (x^2 + 1)^2
-        assert is_squarefree([7, 0, 1]) and len(exact) == 2  # certified mod 3
+        assert factor_squarefree([889, 0, 1023, 0, 135, 0, 1]) == [
+            [1, 0, 1], [7, 0, 1], [127, 0, 1]
+        ]
+        assert len(exact) == 1
+        assert factor_squarefree([1, 0, 2, 0, 1]) is None and len(exact) == 2  # (x^2 + 1)^2
+        assert factor_squarefree([7, 0, 1]) == [[7, 0, 1]] and len(exact) == 2  # mod 3
+
+
+# ---------------------------------------------------------------------------
+# the root skeleton over number fields
+
+
+SQRT5 = ORACLE_FIELDS["sqrt5"]
+ZETA5 = ORACLE_FIELDS["zeta5"]
+
+
+def _kx_mul(a, b):
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@pytest.mark.parametrize("field", [SQRT5, CBRT2, ZETA5], ids=["sqrt5", "cbrt2", "zeta5"])
+def test_number_field_multiplicities_match_repeated_division(field):
+    rng = random.Random(f"multiplicities:{field.degree}")
+    seen = {1: 0, 2: 0, 3: 0}
+    for _ in range(12):
+        chosen = {}
+        while len(chosen) < rng.randint(1, 3):
+            x = field.element([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(field.degree)])
+            chosen[x] = rng.choice((1, 2, 3))
+        poly = [field.element(rng.choice((-2, 1, 3)))]
+        for x, mult in chosen.items():
+            for _ in range(mult):
+                poly = _kx_mul(poly, [-x, field.one()])
+        if rng.random() < 0.5:  # a factor x^2 - 7, no root in these fields
+            poly = _kx_mul(poly, [field.element(-7), field.zero(), field.one()])
+        got = roots_in_field(poly, field)
+        assert len({r for r, _ in got}) == len(got)
+        assert {r: m for r, m in got if r in chosen} == chosen
+        for root, mult in got:
+            assert mult == _divisions(poly, root) >= 1
+            seen[min(mult, 3)] += 1
+        assert sum(m for _, m in got) <= len(poly) - 1
+    assert min(seen.values()) >= 3, seen
+
+
+def test_number_field_roots_refuse_a_repeated_root():
+    theta = SQRT5.generator()
+    # (x - theta)^2 (x - 1): every shifted norm has a square factor
+    poly = _kx_mul(_kx_mul([-theta, SQRT5.one()], [-theta, SQRT5.one()]),
+                   [SQRT5.element(-1), SQRT5.one()])
+    with pytest.raises(AssertionError, match="repeated root"):
+        _number_field_roots(kx_monic(poly), SQRT5)
+    assert set(roots_in_field(poly, SQRT5)) == {(theta, 2), (SQRT5.one(), 1)}
+
+
+def test_linear_polynomials_are_answered_directly(monkeypatch):
+    monkeypatch.setattr(_zpoly, "integer_norm", None)  # no norm is taken
+    theta = CBRT2.generator()
+    poly = [theta * 3 + 1, CBRT2.element(F(2, 3))]
+    ((root, mult),) = roots_in_field(poly, CBRT2)
+    assert mult == 1 and poly[0] + poly[1] * root == CBRT2.zero()
+    assert roots_in_field([RATIONALS.element(F(-3, 4)), RATIONALS.element(2)], RATIONALS) == [
+        (RATIONALS.element(F(3, 8)), 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the field degree limit
+
+
+def test_swinnerton_dyer_fields_up_to_the_degree_limit():
+    assert swinnerton_dyer(2) == [1, 0, -10, 0, 1]
+    assert swinnerton_dyer(3) == [576, 0, -960, 0, 352, 0, -40, 0, 1]
+    sd4 = swinnerton_dyer(4)
+    assert len(sd4) - 1 == MAX_FIELD_DEGREE == 16
+    assert ExactField(tuple(F(c) for c in sd4)).degree == 16
+    for n in (5, 6):
+        sd = swinnerton_dyer(n)
+        assert len(sd) - 1 == 2**n and sd[-1] == 1
+        with pytest.raises(FieldError, match="largest field degree supported is 16"):
+            ExactField(tuple(F(c) for c in sd))

@@ -30,3 +30,34 @@ def test_negativity_sweep_rows_match_minimize_h(capsys):
         assert int(cells[1]) == lt.enumerated_count
         assert Fraction(cells[2]) == lt.min_h
         assert Fraction(cells[4]) == raw.min_h
+
+
+def _row(index, argv, rc=0, stdout="", stderr="", workload="cli", seed=1):
+    return {"workload": workload, "seed": seed, "index": index, "argv": argv,
+            "rc": rc, "stdout": stdout, "stderr": stderr}
+
+
+def test_same_outputs_compares_exit_code_stdout_and_stderr():
+    compare = load_script("same_outputs").compare
+    parent = [
+        _row(0, ["analyze", "<docs>/cli-1/001-warmup.json"], stdout="ok\n"),
+        _row(1, ["geom", "<docs>/cli-1/002-bad.json"], rc=1,
+             stderr="error: <docs>/cli-1/002-bad.json: not JSON\n"),
+        _row(2, ["fixtures", "--machine"], stdout="{}\n"),
+    ]
+    assert compare(parent, [dict(r) for r in parent]) == (3, [])
+
+    change = [dict(r) for r in parent]
+    change[1]["rc"] = 2
+    change[2]["stderr"] = "warning\n"
+    same, diffs = compare(parent, change)
+    assert same == 1 and len(diffs) == 2
+    assert diffs[0].startswith("cli seed 1 #1: geom <docs>/cli-1/002-bad.json")
+    assert diffs[0].endswith(": rc differ")
+    assert diffs[1].endswith(": stderr differ")
+
+    # a missing command or one run out of order is a difference too
+    same, diffs = compare(parent, parent[:2])
+    assert same == 2 and diffs == ["the parent runs 3 commands, the change 2"]
+    same, diffs = compare(parent, [parent[0], parent[2], parent[1]])
+    assert same == 1 and len(diffs) == 2 and "the change runs fixtures" in diffs[0]
