@@ -169,13 +169,24 @@ def _print_analysis(payload: dict, out) -> None:
 # subcommands
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key, which ``json`` would
+    resolve silently to its last value, raises ``ValueError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON, a repeated key or bad UTF-8
         raise DocumentError(f"invalid JSON in {path}: {err}")
 
 

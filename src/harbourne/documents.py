@@ -101,6 +101,8 @@ def profile_from_document(obj) -> ConfigurationProfile:
         try:
             r = int(key)
         except ValueError:
+            r = None
+        if r is None or str(r) != key:  # int() also reads "02", " 2 ", "2_0"
             raise DocumentError(f"multiplicity key {key!r} is not an integer", loc)
         if r < 2:
             raise DocumentError(f"multiplicity {r} is below the minimum 2", loc)

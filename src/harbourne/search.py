@@ -32,7 +32,6 @@ from .profiles import (
     ConfigurationProfile,
     CurveClass,
     CurveKind,
-    CONIC_COMMON_POINT_CAP,
     HarbourneError,
     validate,
 )
@@ -98,26 +97,16 @@ def _shape(query: SearchQuery) -> tuple[int, int]:
     return budget, query.k - 1 if query.require_tk_zero else query.k
 
 
-def _level_cap(query: SearchQuery, r: int) -> int:
-    """Upper bound on t_r apart from the budget (which it never exceeds)."""
-    budget, r_max = _shape(query)
-    if r > r_max:
-        return 0
-    if query.curve_class.kind is CurveKind.CONIC_P2 and r == query.k:
-        return CONIC_COMMON_POINT_CAP
-    return budget
-
-
 def enumerate_profiles(query: SearchQuery) -> Iterator[ConfigurationProfile]:
     """Yield every feasible t-vector exactly once.
 
     Order is decreasing-r lexicographic: the count at the largest
     multiplicity varies slowest and starts at its maximum.  Pruning is by
-    remaining budget; the conic common-point cap bounds t_k directly.
+    remaining budget alone: for conics the budget 4 C(k,2) already holds
+    t_k to the common-point cap of 4.
     """
     k = query.k
     budget, r_max = _shape(query)
-    caps = {r: _level_cap(query, r) for r in range(3, r_max + 1)}
 
     def walk(r: int, remaining: int, acc: dict[int, int]):
         if r == 2:
@@ -127,14 +116,12 @@ def enumerate_profiles(query: SearchQuery) -> Iterator[ConfigurationProfile]:
             yield ConfigurationProfile(query.curve_class, k, acc)
             return
         part = comb(r, 2)
-        for count in range(min(remaining // part, caps[r]), -1, -1):
+        for count in range(remaining // part, -1, -1):
             child = dict(acc)
             if count:
                 child[r] = count
             yield from walk(r - 1, remaining - count * part, child)
 
-    if r_max < 2:
-        return
     yield from walk(r_max, budget, {})
 
 
@@ -163,22 +150,14 @@ def minimize_h(query: SearchQuery) -> SearchResult:
 def _count_t_vectors(query: SearchQuery) -> int:
     """Number of profiles :func:`enumerate_profiles` yields.
 
-    Coefficient of x^budget in prod_r 1/(1 - x^C(r,2)) over r = 2..r_max,
-    with the factor of a capped level truncated at its cap.
+    Coefficient of x^budget in prod_r 1/(1 - x^C(r,2)) over r = 2..r_max.
     """
     budget, r_max = _shape(query)
     ways = [1] * (budget + 1)  # r = 2 alone: t_2 takes any amount
     for r in range(3, r_max + 1):
         part = comb(r, 2)
-        cap = _level_cap(query, r)
-        if cap >= budget // part:
-            for spent in range(part, budget + 1):
-                ways[spent] += ways[spent - part]
-        else:
-            ways = [
-                sum(ways[spent - c * part] for c in range(min(cap, spent // part) + 1))
-                for spent in range(budget + 1)
-            ]
+        for spent in range(part, budget + 1):
+            ways[spent] += ways[spent - part]
     return ways[budget]
 
 
@@ -212,23 +191,19 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
     gamma_k = query.curve_class.pairwise_intersection * k
     hirz = Filter.HIRZEBRUCH_11 in query.filters
     lt = Filter.LT_QUADRATIC in query.filters
-    levels = [
-        (r, comb(r, 2), r - 4 if hirz else 0, _level_cap(query, r))
-        for r in range(r_max, 3, -1)
-    ]
-    cap3 = _level_cap(query, 3)
+    levels = [(r, comb(r, 2), r - 4 if hirz else 0) for r in range(r_max, 3, -1)]
 
     def children(i, state):
         """(t_r, child state) at level i, in enumeration order."""
-        r, part, weight, cap = levels[i]
+        r, part, weight = levels[i]
         rem, f0, f1, s = state
-        for c in range(min(rem // part, cap), -1, -1):
+        for c in range(rem // part, -1, -1):
             yield c, (rem - c * part, f0 + c, f1 + r * c, s - weight * c)
 
     def finals(state):
         """(t_3, final) closing a state, in enumeration order."""
         rem, f0, f1, s = state
-        for c3 in range(min(rem // 3, cap3), -1, -1):
+        for c3 in range(rem // 3 if r_max >= 3 else 0, -1, -1):
             t2 = rem - 3 * c3
             yield c3, (
                 f0 + c3 + t2,

@@ -109,6 +109,23 @@ def test_analyze_unparseable_json(tmp_path):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"class": "line-p2", "k": 4, "t": {"2": 5, "02": 6}}', "$.t.02: "),
+        ('{"class": "line-p2", "k": 4, "t": {"2": 6, "2": 3}}', "repeated key '2'"),
+    ],
+    ids=["zero-padded-key", "repeated-key"],
+)
+def test_analyze_ambiguous_multiplicity_keys_exit_1(tmp_path, capsys, text, message):
+    # int() reads "02" as 2, and json keeps the last of two equal keys:
+    # either would silently merge two counts into one
+    doc = tmp_path / "ambiguous.json"
+    doc.write_text(text)
+    assert cli.main(["analyze", str(doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_conic_constraints_surface(tmp_path):
     doc = tmp_path / "conics.json"
     doc.write_text(json.dumps({"class": "conic-p2", "k": 4, "t": {"2": 24}}))

@@ -80,6 +80,13 @@ class TestProfileDocuments:
             profile_from_document({"class": "line-p2", "k": 3, "t": {"2": "x"}})
         with pytest.raises(DocumentError):
             profile_from_document({"class": "line-p2", "k": True, "t": {}})
+        # int() reads each of these keys, "2_0" as 20; only str(int(key))
+        # names a multiplicity, so no two keys can name the same one
+        for key in ("02", " 2 ", "2_0", "+2", "2.0", "None"):
+            doc = {"class": "line-p2", "k": 4, "t": {"2": 5, key: 6}}
+            with pytest.raises(DocumentError) as err:
+                profile_from_document(doc)
+            assert f"$.t.{key}: " in str(err.value)
 
     @given(feasible_profiles())
     def test_roundtrip(self, profile):

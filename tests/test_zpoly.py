@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from conftest import swinnerton_dyer
 from hypothesis import assume, given, settings, strategies as st
 
 from harbourne import _zpoly
@@ -53,6 +54,11 @@ def _is_squarefree(f):
     return sympy.gcd(poly, poly.diff(X)).degree() == 0
 
 
+# x^4 - 2x^3 - 3x^2 - 2x - 3 = x (x - 1)(x^2 - x - 1) mod 3, irreducible
+# mod 5 and over Z
+QUARTIC = [-3, -2, -3, -2, 1]
+
+
 class TestFactorSquarefree:
     def test_matches_sympy_on_seeded_products(self):
         rng = random.Random(20151021)
@@ -82,6 +88,25 @@ class TestFactorSquarefree:
         assert _zpoly.factor_squarefree(f) == [f]
         g = _zmul(f, [-1, 0, 2])
         assert _zpoly.factor_squarefree(g) == _sympy_factors(g) == [[-1, 0, 2], f]
+        # QUARTIC has three factors mod 3, its first good prime, and one mod 5
+        assert _zpoly.factor_squarefree(QUARTIC) == _sympy_factors(QUARTIC)
+        h = _zmul(QUARTIC, [-1, 2])
+        assert _zpoly.factor_squarefree(h) == _sympy_factors(h)
+
+    @pytest.mark.parametrize("f", [QUARTIC, swinnerton_dyer(3)], ids=["quartic", "sd3"])
+    def test_one_prime_per_factorization(self, monkeypatch, f):
+        # the irreducible factors over Z do not depend on the prime, so the
+        # first good prime is split and no other prime is tried
+        calls = []
+        distinct_degree = _zpoly._distinct_degree
+
+        def counted(fp, p):
+            calls.append(p)
+            return distinct_degree(fp, p)
+
+        monkeypatch.setattr(_zpoly, "_distinct_degree", counted)
+        assert _zpoly.factor_squarefree(f) == [f]
+        assert len(calls) == 1
 
     def test_content_and_sign_are_dropped(self):
         assert _zpoly.factor_squarefree([0, -6]) == [[0, 1]]
@@ -241,6 +266,17 @@ class TestNumberFieldRoots:
             assert set(distinct) <= set(want)
             found += len(want)
         assert found >= trials
+
+    def test_roots_at_the_degree_limit(self):
+        # x^2 - 2 over Q(sqrt 2 + sqrt 3 + sqrt 5 + sqrt 7), of degree 16
+        # (SD_4): the norm has degree 32 and splits into factors of degree
+        # at most 2 modulo every prime
+        field = ExactField(tuple(F(c) for c in swinnerton_dyer(4)))
+        poly = [field.element(-2), field.zero(), field.one()]
+        roots = roots_in_field(poly, field)
+        assert [m for _, m in roots] == [1, 1]
+        r, s = (root for root, _ in roots)
+        assert s == -r and r * r == field.element(2)
 
     def test_rational_coefficients_need_a_shift(self):
         # x^2 - 5 over Q(sqrt 5): the norm at shift 0 is (x^2 - 5)^2
