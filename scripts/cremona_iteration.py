@@ -22,7 +22,10 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=8)
     args = parser.parse_args(argv)
 
-    steps = iterate_law(args.h0, args.s0, args.steps)
+    try:
+        steps = iterate_law(args.h0, args.s0, args.steps)
+    except ValueError as err:
+        parser.error(str(err))
     print(f"{'step':>4}  {'s':>6}  {'degree x':>8}  {'h':>16}  {'decimal':>9}")
     for idx, step in enumerate(steps):
         print(

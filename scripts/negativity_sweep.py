@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from harbourne.hconst import format_decimal
 from harbourne.profiles import CONICS
-from harbourne.search import Filter, SearchQuery, SearchResult, minimize_h
+from harbourne.search import (
+    Filter,
+    SearchQuery,
+    SearchQueryError,
+    SearchResult,
+    minimize_h,
+)
 
 
 def _column(result: SearchResult, width: int) -> str:
@@ -46,6 +52,10 @@ def main(argv=None) -> int:
     parser.add_argument("--kmin", type=int, default=3)
     parser.add_argument("--kmax", type=int, default=9)
     args = parser.parse_args(argv)
+    try:  # refuse a bad --kmin before the header is printed
+        SearchQuery(CONICS, args.kmin, require_tk_zero=True)
+    except SearchQueryError as err:
+        parser.error(str(err))
     sweep(args.kmin, args.kmax)
     return 0
 

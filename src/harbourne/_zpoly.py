@@ -37,9 +37,9 @@ from typing import Sequence
 from .exactfield import (
     RATIONALS,
     _bareiss,
+    _content_free,
     _mult_matrix,
     _primes,
-    _primitive,
     kx_derivative,
     kx_gcd,
 )
@@ -304,7 +304,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]] | None:
             g = [f[-1]]
             for i in subset:
                 g = _mul(g, lifted[i], m)
-            g = _primitive([c - m if 2 * c > m else c for c in g])
+            g = _content_free([c - m if 2 * c > m else c for c in g])
             quot = _exact_quotient(f, g)
             if quot is not None:
                 out.append(g)
@@ -329,7 +329,7 @@ def factor_squarefree(f: Sequence[int]) -> list[list[int]] | None:
     come in the order of sympy's ``factor_list``: by degree, then by
     coefficients from the leading one down.
     """
-    f = _primitive(f)
+    f = _content_free(f)
     if f[-1] < 0:
         f = [-c for c in f]
     factors = _zassenhaus(f)

@@ -125,33 +125,29 @@ class FormalExpr:
     def evaluate(
         self, values: Mapping[str, Fraction | int], n: int | None = None
     ) -> Fraction:
-        """Numeric value at the given symbol values (and n if degree > 0)."""
-        vals = {s: Fraction(v) for s, v in values.items()}
-        vals["1"] = Fraction(1)
+        """Numeric value at the given symbol values (and n if degree > 0).
+
+        The values multiply the Fraction coefficients as given, so integer
+        values are never rebuilt as Fractions."""
+        vals = {**values, "1": 1}
         if "k" in vals:
             vals.setdefault("k2", vals["k"] ** 2)
         total = Fraction(0)
         for p, lc in self.terms.items():
             if p and n is None:
                 raise ValueError("expression depends on n; pass n explicitly")
-            scale = Fraction(n) ** p if p else Fraction(1)
-            for sym, coeff in lc.items():
-                total += scale * coeff * vals[sym]
+            total += (n**p if p else 1) * sum(coeff * vals[sym] for sym, coeff in lc.items())
         return total
 
     def degree(self) -> int:
         return max(self.terms, default=0)
 
 
-def symbol_values(k: int, t: Mapping[int, int]) -> dict[str, Fraction]:
+def symbol_values(k: int, t: Mapping[int, int]) -> dict[str, int]:
     """Symbol assignment (k, k2, t2, S0, S1, S2) of a multiplicity map."""
-    vals = {
-        "k": Fraction(k),
-        "k2": Fraction(k * k),
-        "t2": Fraction(t.get(2, 0)),
-    }
+    vals = {"k": k, "k2": k * k, "t2": t.get(2, 0)}
     for j in range(3):
-        vals[f"S{j}"] = Fraction(sum(r**j * c for r, c in t.items() if r >= 3))
+        vals[f"S{j}"] = sum(r**j * c for r, c in t.items() if r >= 3)
     return vals
 
 

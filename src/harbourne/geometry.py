@@ -2,27 +2,33 @@
 
 Curves are lines a*X + b*Y + c*Z and conics
 a*X^2 + b*Y^2 + c*Z^2 + d*XY + e*XZ + f*YZ with coefficients in an
-:class:`~harbourne.exactfield.ExactField`.  Conics are required to be
-irreducible (nondegenerate symmetric matrix), so every curve here is
-smooth and local intersection data is well defined.
+:class:`~harbourne.exactfield.ExactField`.  A conic is read through its
+doubled matrix S = ((2a, d, e), (d, 2b, f), (e, f, 2c)), whose entries
+are the coefficients themselves: S p is the gradient at p and p^T S q
+the polarization.  Conics are required to be irreducible (det S != 0),
+so every curve here is smooth and local intersection data is well
+defined.
 
 Intersection points are only ever reported with coordinates in the
 declared field; there is no automatic field extension.  When the
 in-field points do not account for the full Bezout count the operation
 fails with IntersectionOutsideField, and the caller picks a larger field
 explicitly.  Conic pairs are intersected by pencil degeneration: the
-first degenerate member of the pencil that splits over the field into
+degenerate members are the roots of the closed-form binary cubic
+det(lam*Sf + mu*Sg), the first one that splits over the field into
 lines gives every in-field common point, and each point's exact local
 multiplicity is the sum of the multiplicities with which the two lines
 meet the first conic.  When no member splits, at most one common point
-is in the field, and it is simple; a closed-form resultant over the
-three coordinate projections finds it.
+is in the field, and it is simple; the closed-form resultant of the
+first coordinate projection that does not vanish identically finds it.
+No field inverse is taken here outside :meth:`ProjPoint.canonical`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -186,15 +192,9 @@ class PlaneCurve:
         return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
     def gradient(self, p: ProjPoint) -> tuple[FieldElement, ...]:
-        x, y, z = p.coords
         if self.form is CurveForm.LINE:
             return self.coeffs
-        a, b, c, d, e, f = self.coeffs
-        return (
-            2 * a * x + d * y + e * z,
-            2 * b * y + d * x + f * z,
-            2 * c * z + e * x + f * y,
-        )
+        return mat_vec(conic_matrix(self), p.coords)
 
     def __str__(self):
         return f"{self.form.value}[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -249,11 +249,13 @@ Mat3 = tuple[tuple[FieldElement, ...], ...]
 
 
 def conic_matrix(c: PlaneCurve) -> Mat3:
+    """The doubled symmetric matrix S of a conic, whose entries are its
+    coefficients: Q(p) = p^T S p / 2, and S p is the gradient at p."""
     a, b, cc, d, e, f = c.coeffs
     return (
-        (a, d / 2, e / 2),
-        (d / 2, b, f / 2),
-        (e / 2, f / 2, cc),
+        (a + a, d, e),
+        (d, b + b, f),
+        (e, f, cc + cc),
     )
 
 
@@ -375,11 +377,11 @@ def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
     a, b, c = l.coeffs
     field = l.field
     if not a.is_zero():
-        p1 = point(field, -b / a, 1, 0)
-        p2 = point(field, -c / a, 0, 1)
+        p1 = point(field, -b, a, 0)
+        p2 = point(field, -c, 0, a)
     elif not b.is_zero():
         p1 = point(field, 1, 0, 0)
-        p2 = point(field, 0, -c / b, 1)
+        p2 = point(field, 0, -c, b)
     else:
         p1 = point(field, 1, 0, 0)
         p2 = point(field, 0, 1, 0)
@@ -387,9 +389,11 @@ def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
 
 
 def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
-    """Q(p+q) - Q(p) - Q(q): the polarization (twice the matrix pairing)."""
-    s = ProjPoint(tuple(a + b for a, b in zip(p.coords, q.coords)))
-    return c.evaluate(s) - c.evaluate(p) - c.evaluate(q)
+    """p^T S q = Q(p+q) - Q(p) - Q(q), the polarization of the conic."""
+    return sum(
+        (x * y for x, y in zip(p.coords, mat_vec(conic_matrix(c), q.coords))),
+        c.field.zero(),
+    )
 
 
 def _combine_points(t: FieldElement, a: ProjPoint, u: FieldElement, b: ProjPoint):
@@ -422,7 +426,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     local intersection multiplicities.
 
     The degenerate members h = lam*f + mu*g are the roots of the binary
-    cubic det(lam*Mf + mu*Mg), and mu != 0 since f is nondegenerate.  So
+    cubic det(lam*Sf + mu*Sg), and mu != 0 since f is nondegenerate.  So
     I_P(f, g) = I_P(f, h), and I_P is additive over the components of h
     (Fulton, *Algebraic Curves*, 3.3): the first member that splits over
     the field into lines L1, L2 gives every in-field base point, with
@@ -435,29 +439,25 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     multiplicities (2,1,1), (3,1) and (4), P is the only point of its
     multiplicity, so it is in the field with its common tangent T, and
     T*QR, T*PQ and T^2 split; for (2,2) the double line PQ^2 splits.  So
-    the other three base points form one Galois orbit, and the resultant
-    projections find the lone point, if any.
+    the other three base points form one Galois orbit, and a resultant
+    projection finds the lone point, if any.
     """
     field = f.field
-    mf, mg = conic_matrix(f), conic_matrix(g)
+    sf, sg = conic_matrix(f), conic_matrix(g)
 
     def member(lam: FieldElement, mu: FieldElement) -> Mat3:
         return tuple(
-            tuple(lam * mf[i][j] + mu * mg[i][j] for j in range(3)) for i in range(3)
+            tuple(lam * sf[i][j] + mu * sg[i][j] for j in range(3)) for i in range(3)
         )
 
-    # det(lam*Mf + mu*Mg) interpolated as a binary cubic in (lam, mu)
-    one = field.one()
-    d11 = det3(member(one, one))
-    d21 = det3(member(one + one, one))
-    # c3 lam^3 + c2 lam^2 mu + c1 lam mu^2 + c0 mu^3
-    c3, c0 = det3(mf), det3(mg)
-    # d11 = c3+c2+c1+c0 ; d21 = 8c3+4c2+2c1+c0
-    s1 = d11 - c3 - c0
-    s2 = d21 - c3 * 8 - c0
-    c1 = (s1 * 4 - s2) / 2
-    c2 = s1 - c1
-    roots, _ = binary_form_roots([c0, c1, c2, c3], field)
+    def trace(adj: Mat3, s: Mat3) -> FieldElement:
+        """tr(adj * s) for a symmetric s."""
+        return sum((adj[i][j] * s[i][j] for i in range(3) for j in range(3)), field.zero())
+
+    # det(lam*Sf + mu*Sg) = lam^3 det Sf + lam^2 mu tr(adj Sf Sg)
+    #                       + lam mu^2 tr(Sf adj Sg) + mu^3 det Sg
+    cubic = [det3(sg), trace(adjugate3(sg), sf), trace(adjugate3(sf), sg), det3(sf)]
+    roots, _ = binary_form_roots(cubic, field)
     members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
     lines = next((ls for ls in members if ls is not None), None)
 
@@ -557,35 +557,32 @@ def _conic_var_coeffs(c: PlaneCurve, var: int):
 
 
 def _resultant_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
-    """In-field common points via the three coordinate projections."""
+    """In-field common points via the first coordinate projection whose
+    resultant is not identically zero.  The resultant vanishes identically
+    only when both conics pass through the projection centre, so that
+    projection sees every common point, each over its own root."""
     field = f.field
-    out: list[ProjPoint] = []
     for var in (2, 1, 0):
         res = _quadratic_resultant(_conic_var_coeffs(f, var), _conic_var_coeffs(g, var))
-        if all(c.is_zero() for c in res):
-            continue  # both conics pass through the projection centre
-        roots, _found = binary_form_roots(res, field)
-        keep = [0, 1, 2]
-        keep.remove(var)
-        for (t, u), _mult in roots:
-            # fiber: common roots in the eliminated variable
-            fib_f = _fiber_poly(f, var, t, u)
-            fib_g = _fiber_poly(g, var, t, u)
-            common = kx_gcd(fib_f, fib_g)
-            if len(common) < 2:
-                continue
-            for z0, _m in roots_in_field(common, field):
-                coords = [None, None, None]
-                coords[keep[0]] = t
-                coords[keep[1]] = u
-                coords[var] = z0
-                pt = ProjPoint(tuple(coords))
-                if (
-                    f.evaluate(pt).is_zero()
-                    and g.evaluate(pt).is_zero()
-                    and pt not in out
-                ):
-                    out.append(pt)
+        if not all(c.is_zero() for c in res):
+            break
+    roots, _found = binary_form_roots(res, field)
+    keep = [0, 1, 2]
+    keep.remove(var)
+    out: list[ProjPoint] = []
+    for (t, u), _mult in roots:
+        # fiber: common roots in the eliminated variable
+        common = kx_gcd(_fiber_poly(f, var, t, u), _fiber_poly(g, var, t, u))
+        if len(common) < 2:
+            continue
+        for z0, _m in roots_in_field(common, field):
+            coords = [None, None, None]
+            coords[keep[0]] = t
+            coords[keep[1]] = u
+            coords[var] = z0
+            pt = ProjPoint(tuple(coords))
+            if f.evaluate(pt).is_zero() and g.evaluate(pt).is_zero():
+                out.append(pt)
     return out
 
 
@@ -638,7 +635,8 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
         for pt, mult in intersect(curves[i], curves[j]):
             if mult > 1:
                 raise NonTransversalIntersection(
-                    f"curves {i} and {j} meet at {pt} with multiplicity {mult}",
+                    f"curves {i} and {j} meet at {pt.canonical()} with "
+                    f"multiplicity {mult}",
                     pair=(i, j),
                     point=pt,
                 )
@@ -757,17 +755,9 @@ def apply_to_curve(m_inverse: Mat3, c: PlaneCurve) -> PlaneCurve:
     if c.form is CurveForm.LINE:
         coeffs = mat_vec(transpose(m_inverse), c.coeffs)
         return PlaneCurve(CurveForm.LINE, tuple(coeffs))
-    s = conic_matrix(c)
-    s2 = mat_mul(transpose(m_inverse), mat_mul(s, m_inverse))
-    two = c.field.element(2)
-    coeffs = (
-        s2[0][0],
-        s2[1][1],
-        s2[2][2],
-        s2[0][1] * two,
-        s2[0][2] * two,
-        s2[1][2] * two,
-    )
+    s = mat_mul(transpose(m_inverse), mat_mul(conic_matrix(c), m_inverse))
+    half = c.field.element(Fraction(1, 2))
+    coeffs = (s[0][0] * half, s[1][1] * half, s[2][2] * half, s[0][1], s[0][2], s[1][2])
     return PlaneCurve(CurveForm.CONIC, coeffs)
 
 

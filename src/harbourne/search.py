@@ -177,41 +177,43 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
     """Answer :func:`minimize_h` from moment states, not from t-vectors.
 
     h = (gamma*k - f1)/f0 and both filters read only moments, so levels
-    r = r_max..4 map each state (remaining budget, f0, f1, s) to the
-    number of t-vectors reaching it.  The statistic s is t2 + t3 -
-    sum_{r>=5} (r-4) t_r for hirz11 and 0 otherwise.  Levels 3 and 2
-    close every state into finals (f0, f1, s), where lt takes s = t2;
-    a final fixes h and the verdict of the filter.  Finals are streamed
-    into the counts and the argmin set, never stored.  States that reach
-    an argmin final are then marked backwards, and a walk in enumeration
-    order along marked states rebuilds the tied profiles.
+    r = r_max..4 map each state (remaining budget, f0, f1) to the number
+    of t-vectors reaching it.  Levels 3 and 2 close every state into
+    finals (f0, f1, s), where s is the statistic of the filter: t2 for lt,
+    t2 + t3 - sum_{r>=5} (r-4) t_r for hirz11, and 0 otherwise.  Over the
+    levels r >= 4 the sum is f1 - 4*f0, so the state determines it and
+    carries no fourth coordinate.  A final fixes h and the verdict of the
+    filter.  Finals are streamed into the counts and the argmin set, never
+    stored.  States that reach an argmin final are then marked backwards,
+    and a walk in enumeration order along marked states rebuilds the tied
+    profiles.
     """
     k = query.k
     budget, r_max = _shape(query)
     gamma_k = query.curve_class.pairwise_intersection * k
     hirz = Filter.HIRZEBRUCH_11 in query.filters
     lt = Filter.LT_QUADRATIC in query.filters
-    levels = [(r, comb(r, 2), r - 4 if hirz else 0) for r in range(r_max, 3, -1)]
+    levels = [(r, comb(r, 2)) for r in range(r_max, 3, -1)]
 
     def children(i, state):
         """(t_r, child state) at level i, in enumeration order."""
-        r, part, weight = levels[i]
-        rem, f0, f1, s = state
+        r, part = levels[i]
+        rem, f0, f1 = state
         for c in range(rem // part, -1, -1):
-            yield c, (rem - c * part, f0 + c, f1 + r * c, s - weight * c)
+            yield c, (rem - c * part, f0 + c, f1 + r * c)
 
     def finals(state):
         """(t_3, final) closing a state, in enumeration order."""
-        rem, f0, f1, s = state
+        rem, f0, f1 = state
         for c3 in range(rem // 3 if r_max >= 3 else 0, -1, -1):
             t2 = rem - 3 * c3
             yield c3, (
                 f0 + c3 + t2,
                 f1 + 3 * c3 + 2 * t2,
-                s + c3 + t2 if hirz else t2 if lt else 0,
+                4 * f0 - f1 + c3 + t2 if hirz else t2 if lt else 0,
             )
 
-    layers = [{(budget, 0, 0, 0): 1}]
+    layers = [{(budget, 0, 0): 1}]
     held = 1
     for i in range(len(levels)):
         nxt: dict = {}
@@ -269,7 +271,7 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
                     ConfigurationProfile(query.curve_class, k, {**t, 3: c3, 2: t2})
                 )
 
-    descend(0, (budget, 0, 0, 0), {})
+    descend(0, (budget, 0, 0), {})
     min_h = None if best is None else Fraction(*best)
     for profile in argmins:
         if not (

@@ -47,7 +47,11 @@ class TestEulerExpr:
 
     def test_numeric_instantiation(self):
         vals = covers.symbol_values(4, {2: 12})
-        assert covers.euler_expr().evaluate(vals, n=2) == 12
+        assert vals == {"k": 4, "k2": 16, "t2": 12, "S0": 0, "S1": 0, "S2": 0}
+        assert all(type(v) is int for v in vals.values())
+        value = covers.euler_expr().evaluate(vals, n=2)
+        assert type(value) is Fraction and value == 12
+        assert type(covers.euler_expr().evaluate({**vals, "k": F(4)}, n=2)) is Fraction
 
 
 class TestCanonicalSquareExpr:

@@ -1,11 +1,12 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from conftest import SEVEN_POINTS, conic_through
 
-from harbourne import geometry as G
+from harbourne import exactfield, geometry as G
 from harbourne.exactfield import ExactField, RATIONALS
 from harbourne.geometry import (
     DegreeOutOfRangeError,
@@ -297,6 +298,15 @@ class TestExtractProfile:
         with pytest.raises(NonTransversalIntersection) as err:
             extract_profile(cfg)
         assert err.value.point == point(Q, 1, 1, 1)
+
+    def test_non_transversal_point_reported_canonical(self):
+        # X^2 + Y^2 - Z^2 and X^2 + 2Y^2 - Z^2 touch at (1:0:1) and (1:0:-1)
+        cfg = GeometricConfiguration(
+            Q, (conic(Q, 1, 1, -1, 0, 0, 0), conic(Q, 1, 2, -1, 0, 0, 0))
+        )
+        with pytest.raises(NonTransversalIntersection) as err:
+            extract_profile(cfg)
+        assert str(err.value) == "curves 0 and 1 meet at (1 : 0 : -1) with multiplicity 2"
 
     def test_outside_field_propagates(self):
         cfg = GeometricConfiguration(
@@ -847,6 +857,26 @@ class TestConicConicPath:
         assert err.value.found == [(point(Q, 1, 1, 1), 1)]
         assert len(fallback) == 1
 
+    def test_resultant_fallback_with_the_rational_point_at_a_projection_centre(
+        self, monkeypatch
+    ):
+        # the pair above moved so that (1:1:1) goes to (0:0:1): the
+        # z-projection's resultant vanishes identically, and the next
+        # projection still finds the point
+        fallback = _counted(monkeypatch, "_resultant_candidates")
+        rows = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+        frame = tuple(tuple(Q.element(v) for v in row) for row in rows)
+        a = G.apply_to_curve(frame, conic(Q, 1, 0, 0, 0, 0, -1))
+        b = G.apply_to_curve(frame, conic(Q, 1, 1, 2, -1, -2, -1))
+        assert proportional(a, conic(Q, 1, 0, 0, 0, 2, -1))  # X^2 + 2XZ - YZ
+        assert proportional(b, conic(Q, 1, 1, 0, -1, -1, 0))  # X^2 + Y^2 - XY - XZ
+        in_z = (G._conic_var_coeffs(q, 2) for q in (a, b))
+        assert G._quadratic_resultant(*in_z) == [Q.zero()] * 5
+        with pytest.raises(IntersectionOutsideField) as err:
+            intersect(a, b)
+        assert err.value.found == [(point(Q, 0, 0, 1), 1)]
+        assert len(fallback) == 1
+
     def test_tangential_pair_from_one_split_member(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
         fallback = _counted(monkeypatch, "_resultant_candidates")
@@ -855,6 +885,44 @@ class TestConicConicPath:
         assert [m for _, m in intersect(a, b)] == [2, 2]
         assert sum(lines is not None for lines in splits) == 1
         assert fallback == []
+
+
+def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
+    """Over Q(sqrt5), intersect and extract_profile ask for no field
+    inverse from geometry code except to normalize a point; conics are
+    read through the doubled matrix S, whose entries are the coefficients."""
+    field = ORACLE_FIELDS["sqrt5"]
+    theta = field.generator()
+    f = conic(field, 1, 2, 3, 4, 5, theta)
+    assert G.conic_matrix(f) == tuple(
+        tuple(field.element(v) if isinstance(v, int) else v for v in row)
+        for row in ((2, 4, 5), (4, 4, theta), (5, theta, 6))
+    )
+
+    rng = random.Random("inverse")
+    pairs = [pair[:2] for kind in ORACLE_KINDS for pair in _oracle_pairs(rng, field, kind, 2)]
+    images = [cremona_map_curve(line(field, a, b, c + theta)) for a, b, c in CREMONA_LINES]
+
+    requested = []
+    original = exactfield.FieldElement.inverse
+
+    def inverse(self):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in ("__truediv__", "__rtruediv__", "__pow__"):
+            frame = frame.f_back  # the division asked for the inverse
+        if frame.f_code.co_filename == G.__file__:
+            requested.append(frame.f_code.co_name)
+        return original(self)
+
+    monkeypatch.setattr(exactfield.FieldElement, "inverse", inverse)
+    for a, b in pairs:
+        try:
+            intersect(a, b)
+        except IntersectionOutsideField:
+            pass
+    profile = extract_profile(GeometricConfiguration(field, tuple(images)))
+    assert profile.t[len(images)] == 3
+    assert requested and set(requested) == {"canonical"}
 
 
 def _incidence_t(curves):

@@ -2,6 +2,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from harbourne.profiles import CONICS
 from harbourne.search import Filter, SearchQuery, minimize_h
 
@@ -30,6 +32,36 @@ def test_negativity_sweep_rows_match_minimize_h(capsys):
         assert int(cells[1]) == lt.enumerated_count
         assert Fraction(cells[2]) == lt.min_h
         assert Fraction(cells[4]) == raw.min_h
+
+
+def test_cremona_iteration_prints_the_telescoped_trajectory(capsys):
+    assert load_script("cremona_iteration").main(["--steps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # step, s, degree multiplier, exact h, decimal h
+    assert [row.split()[:4] for row in lines[1:4]] == [
+        ["0", "49", "1", "-3"],
+        ["1", "52", "2", "-147/52"],
+        ["2", "55", "4", "-147/55"],
+    ]
+    assert lines[-1] == "telescoped closed form h0*s0/(s0+3n) = -147/55 confirmed"
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("cremona_iteration", ["--steps", "-1"], "n must be >= 0"),
+        ("cremona_iteration", ["--s0", "0"], "s0 must be >= 1"),
+        ("negativity_sweep", ["--kmin", "2"], "search requires k >= 3, got k=2"),
+    ],
+)
+def test_scripts_report_bad_arguments_without_a_traceback(capsys, script, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        load_script(script).main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()  # argparse's usage line, then the error
+    assert usage.startswith("usage: ") and error.endswith(f": error: {message}")
 
 
 def _row(index, argv, rc=0, stdout="", stderr="", workload="cli", seed=1):
