@@ -14,14 +14,16 @@ Geometry document:
      "curves": [{"type": "line", "coeffs": [a, b, c]}
                 | {"type": "conic", "coeffs": [a, b, c, d, e, f]}, ...]}
 
-Rationals are written as integers or "p/q" strings; number-field
-elements as arrays of rationals (coefficients of powers of the
-generator).  Unknown keys are rejected, multiplicities below 2 are
-rejected at parse time, and every error carries the offending location.
+Rationals are written as integers or "p/q" strings of ASCII digits
+with an optional leading "-"; number-field elements as arrays of
+rationals (coefficients of powers of the generator).  Unknown keys are
+rejected, multiplicities below 2 are rejected at parse time, and every
+error carries the offending location.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .exactfield import ExactField, FieldElement, RATIONALS
@@ -66,15 +68,21 @@ def _expect_int(value, loc: str) -> int:
 
 
 def parse_rational(value, loc: str = "$") -> Fraction:
+    """An integer, or a string of ASCII digits with an optional leading
+    "-" and an optional "/" and denominator.  Decimals, exponents, spaces,
+    "+" and "_" are refused: Fraction("1e100000000") alone would build an
+    integer of 10^8 digits."""
     if isinstance(value, bool):
         raise DocumentError(f"expected a rational, got {value!r}", loc)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"not a rational: {value!r}", loc) from None
+            if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # "1/0", or too many digits
+            pass
+        raise DocumentError(f"not a rational: {value!r}", loc)
     raise DocumentError(f"expected an integer or 'p/q' string, got {value!r}", loc)
 
 

@@ -19,8 +19,11 @@ det(lam*Sf + mu*Sg), the first one that splits over the field into
 lines gives every in-field common point, and each point's exact local
 multiplicity is the sum of the multiplicities with which the two lines
 meet the first conic.  When no member splits, at most one common point
-is in the field, and it is simple; the closed-form resultant of the
-first coordinate projection that does not vanish identically finds it.
+is in the field, and it is simple.  The closed-form resultant of the
+first coordinate projection that does not vanish identically finds it:
+the line from the projection centre to each in-field root of the
+resultant meets the first conic, and a point of it on the second conic
+is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
 """
 
@@ -32,13 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactfield import (
-    ExactField,
-    FieldElement,
-    kx_gcd,
-    kx_strip,
-    roots_in_field,
-)
+from .exactfield import ExactField, FieldElement, roots_in_field
 from .profiles import (
     CONICS,
     ConfigurationProfile,
@@ -101,9 +98,11 @@ class ProjPoint:
         return self.coords[0].field
 
     def canonical(self) -> "ProjPoint":
-        """Scale so the first nonzero coordinate is 1."""
+        """Scale so the first nonzero coordinate is 1; self if it is."""
         for c in self.coords:
             if not c.is_zero():
+                if c == c.field.one():
+                    return self
                 inv = c.inverse()
                 return ProjPoint(tuple(x * inv for x in self.coords))
         raise AssertionError("unreachable: zero point")
@@ -366,11 +365,18 @@ def intersect(c1: PlaneCurve, c2: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     if c1.form is CurveForm.LINE and c2.form is CurveForm.LINE:
         pt = ProjPoint(cross(c1.coeffs, c2.coeffs))
         return [(pt, 1)]
-    if c1.form is CurveForm.LINE:
-        return _line_conic(c1, c2)
-    if c2.form is CurveForm.LINE:
-        return _line_conic(c2, c1)
-    return _conic_conic(c1, c2)
+    if c1.form is CurveForm.CONIC and c2.form is CurveForm.CONIC:
+        return _conic_conic(c1, c2)
+    l, q = (c1, c2) if c1.form is CurveForm.LINE else (c2, c1)
+    pts, found = _line_conic(l, q)
+    if found < 2:
+        raise IntersectionOutsideField(
+            f"line/conic meet in {found} in-field point(s) of 2 over "
+            f"{l.field.label()}",
+            found=pts,
+            expected=2,
+        )
+    return pts
 
 
 def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
@@ -400,7 +406,10 @@ def _combine_points(t: FieldElement, a: ProjPoint, u: FieldElement, b: ProjPoint
     return tuple(t * x + u * y for x, y in zip(a.coords, b.coords))
 
 
-def _line_conic(l: PlaneCurve, q: PlaneCurve) -> list[tuple[ProjPoint, int]]:
+def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int]], int]:
+    """The in-field points where line l meets conic q, canonical and
+    sorted by sort_key, with their multiplicities, and the total of those
+    multiplicities (2 when both points are in the field)."""
     a, b = _span_of_line(l)
     # Q(t*a + u*b) = alpha t^2 + beta t u + gamma u^2
     alpha = q.evaluate(a)
@@ -408,17 +417,11 @@ def _line_conic(l: PlaneCurve, q: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     beta = _conic_bilinear(q, a, b)
     roots, found = binary_form_roots([gamma, beta, alpha], l.field)
     pts = [
-        (ProjPoint(_combine_points(t, a, u, b)), mult) for (t, u), mult in roots
+        (ProjPoint(_combine_points(t, a, u, b)).canonical(), mult)
+        for (t, u), mult in roots
     ]
     pts.sort(key=lambda pm: pm[0].sort_key())
-    if found < 2:
-        raise IntersectionOutsideField(
-            f"line/conic meet in {found} in-field point(s) of 2 over "
-            f"{l.field.label()}",
-            found=pts,
-            expected=2,
-        )
-    return pts
+    return pts, found
 
 
 def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
@@ -466,19 +469,13 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
         if len(pts) > 1:
             raise AssertionError("no member splits, yet two base points are in K")
     else:
-        hits: dict[tuple, tuple[ProjPoint, int]] = {}
+        hits: dict[ProjPoint, int] = {}
         for l in lines:
-            try:
-                on_line = _line_conic(l, f)
-            except IntersectionOutsideField as err:
-                on_line = err.found
-            for pt, mult in on_line:
+            for pt, mult in _line_conic(l, f)[0]:
                 if not g.evaluate(pt).is_zero():
                     raise AssertionError("split pencil member meets f off g")
-                key = pt.sort_key()
-                first, total = hits.get(key, (pt, 0))
-                hits[key] = (first, total + mult)
-        pts = [hits[key] for key in sorted(hits)]
+                hits[pt] = hits.get(pt, 0) + mult
+        pts = sorted(hits.items(), key=lambda pm: pm[0].sort_key())
 
     if not pts:
         raise IntersectionOutsideField(
@@ -560,41 +557,24 @@ def _resultant_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
     """In-field common points via the first coordinate projection whose
     resultant is not identically zero.  The resultant vanishes identically
     only when both conics pass through the projection centre, so that
-    projection sees every common point, each over its own root."""
+    projection sees every common point, the centre excepted, each over its
+    own root: on the line from the centre through that root, among the
+    points where it meets f."""
     field = f.field
     for var in (2, 1, 0):
         res = _quadratic_resultant(_conic_var_coeffs(f, var), _conic_var_coeffs(g, var))
         if not all(c.is_zero() for c in res):
             break
     roots, _found = binary_form_roots(res, field)
-    keep = [0, 1, 2]
-    keep.remove(var)
+    a, b = (i for i in range(3) if i != var)
     out: list[ProjPoint] = []
     for (t, u), _mult in roots:
-        # fiber: common roots in the eliminated variable
-        common = kx_gcd(_fiber_poly(f, var, t, u), _fiber_poly(g, var, t, u))
-        if len(common) < 2:
-            continue
-        for z0, _m in roots_in_field(common, field):
-            coords = [None, None, None]
-            coords[keep[0]] = t
-            coords[keep[1]] = u
-            coords[var] = z0
-            pt = ProjPoint(tuple(coords))
-            if f.evaluate(pt).is_zero() and g.evaluate(pt).is_zero():
-                out.append(pt)
+        # the line u*x_a - t*x_b = 0 through the centre and the root (t:u)
+        coeffs = [field.zero()] * 3
+        coeffs[a], coeffs[b] = u, -t
+        on_line, _ = _line_conic(PlaneCurve(CurveForm.LINE, tuple(coeffs)), f)
+        out.extend(pt for pt, _ in on_line if g.evaluate(pt).is_zero())
     return out
-
-
-def _fiber_poly(c: PlaneCurve, var: int, t: FieldElement, u: FieldElement):
-    """c over the point (t:u) of the projection, as a polynomial in ``var``."""
-    zero = t.field.zero()
-    return kx_strip(
-        [
-            sum((x * t**i * u ** (len(form) - 1 - i) for i, x in enumerate(form)), zero)
-            for form in _conic_var_coeffs(c, var)
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +710,7 @@ def triangle_frame(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mat3:
     coordinate triangle: returns the matrix T with T*p_i proportional
     to e_i.  Apply with :func:`apply_to_point` / :func:`apply_to_curve`
     (the latter takes the columns matrix, see below)."""
-    cols = tuple(zip(p1.coords, p2.coords, p3.coords))
-    if det3(cols).is_zero():
-        raise GeometryError("base points are collinear")
-    return adjugate3(cols)
+    return adjugate3(frame_inverse_columns(p1, p2, p3))
 
 
 def frame_inverse_columns(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mat3:

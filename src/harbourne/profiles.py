@@ -240,25 +240,19 @@ def require_valid(profile: ConfigurationProfile) -> None:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Power sums f_i = sum_r r^i * t_r of a multiplicity histogram.
-
-    ``excluded`` records a multiplicity left out of the sums (the truncated
-    moments used when special common points are removed from a count).
-    """
+    """Power sums f_i = sum_r r^i * t_r of a multiplicity histogram."""
 
     f0: int
     f1: int
     f2: int
-    excluded: int | None = None
 
 
-def moments(profile: ConfigurationProfile, exclude: int | None = None) -> MomentSet:
-    """Exact moments of a validating profile, optionally excluding one r."""
+def moments(profile: ConfigurationProfile) -> MomentSet:
+    """Exact moments of a validating profile."""
     require_valid(profile)
-    items = [(r, c) for r, c in profile.t.items() if r != exclude]
+    items = profile.t.items()
     return MomentSet(
         f0=sum(c for _, c in items),
         f1=sum(r * c for r, c in items),
         f2=sum(r * r * c for r, c in items),
-        excluded=exclude,
     )

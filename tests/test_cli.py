@@ -378,6 +378,25 @@ def test_geom_over_field_with_huge_min_poly_constant(tmp_path):
     assert json.loads(r.stdout)["analysis"]["profile"]["t"] == {"2": 3}
 
 
+def test_geom_exponent_coefficient_rejected(tmp_path):
+    # Fraction("1e100000000") would build an integer of 10^8 digits
+    doc = tmp_path / "exponent.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rational"},
+                "curves": [
+                    {"type": "line", "coeffs": ["1e100000000", 0, 0]},
+                    {"type": "line", "coeffs": [0, 1, 0]},
+                ],
+            }
+        )
+    )
+    r = run_cli(["geom", str(doc), "--machine"], timeout=5)
+    assert r.returncode == 1
+    assert "$.curves[0].coeffs[0]" in r.stderr
+
+
 def test_geom_outside_field_is_computation_error(tmp_path):
     doc = tmp_path / "geom.json"
     doc.write_text(

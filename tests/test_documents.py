@@ -21,7 +21,8 @@ class TestRationals:
         assert parse_rational("-7/2") == F(-7, 2)
 
     def test_parse_rejects(self):
-        for bad in ("x", "1/0", True, 1.5, None):
+        for bad in ("x", "1/0", True, 1.5, None, "1.5", " 3 ", "1_000", "1e3",
+                    "1E3", "+3", "-", "/2", "3/", "-7/-2", "3\n", "\u0663"):
             with pytest.raises(DocumentError):
                 parse_rational(bad)
 

@@ -52,6 +52,7 @@ class TestPoints:
     def test_canonical(self):
         p = point(Q, 0, 3, 6).canonical()
         assert [c.as_rational() for c in p.coords] == [F(0), F(1), F(2)]
+        assert p.canonical() is p
 
     def test_hash_consistent_with_equality(self):
         assert len({point(Q, 1, 2, 3), point(Q, 2, 4, 6)}) == 1
@@ -136,6 +137,18 @@ class TestIntersect:
         parabola = conic(Q, 1, 0, 0, 0, 0, -1)  # X^2 - YZ
         pts = intersect(line(Q, 0, 1, 0), parabola)
         assert pts == [(point(Q, 0, 0, 1), 2)]
+
+    def test_tangent_line_conic_point_is_canonical(self):
+        # the tangent to X^2 - YZ at (theta : 5 : 1), theta^2 = 5, is
+        # 2*theta*X - Y - 5Z; the point comes back as (1 : theta : theta/5),
+        # not as a combination of the line's spanning points
+        field = ORACLE_FIELDS["sqrt5"]
+        theta = field.generator()
+        parabola = conic(field, 1, 0, 0, 0, 0, -1)
+        [(pt, mult)] = intersect(line(field, 2 * theta, -1, -5), parabola)
+        assert mult == 2 and pt == ProjPoint((theta, field.element(5), field.one()))
+        assert pt.coords == (field.one(), theta, theta / 5)
+        assert pt.canonical() is pt
 
     def test_line_conic_outside_field(self):
         circle = conic(Q, 1, 1, -1, 0, 0, 0)
@@ -876,6 +889,20 @@ class TestConicConicPath:
             intersect(a, b)
         assert err.value.found == [(point(Q, 0, 0, 1), 1)]
         assert len(fallback) == 1
+
+    def test_resultant_fallback_with_no_rational_point(self, monkeypatch):
+        # the base points of X^2 - YZ and Y^2 - Z^2 - XZ are (st : s^2 : t^2)
+        # with s/t a root of x^4 - x - 1, whose Galois group is S4: no
+        # pencil member is defined over Q, and no base point is rational
+        splits = _counted(monkeypatch, "_split_degenerate")
+        fallback = _counted(monkeypatch, "_resultant_candidates")
+        a = conic(Q, 1, 0, 0, 0, 0, -1)
+        b = conic(Q, 0, 1, -1, 0, -1, 0)
+        with pytest.raises(IntersectionOutsideField) as err:
+            intersect(a, b)
+        assert str(err.value) == "conic pair has no in-field intersection point of 4 over Q"
+        assert err.value.found == []
+        assert splits == [] and fallback == [[]]
 
     def test_tangential_pair_from_one_split_member(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")

@@ -116,11 +116,6 @@ class TestMoments:
         ms = moments(ConfigurationProfile(CONICS, 3, {2: 12}))
         assert (ms.f0, ms.f1, ms.f2) == (12, 24, 48)
 
-    def test_truncated(self):
-        ms = moments(KLEIN, exclude=4)
-        assert (ms.f0, ms.f1, ms.f2) == (28, 84, 252)
-        assert ms.excluded == 4
-
     def test_invalid_profile_rejected(self):
         with pytest.raises(ProfileInvalidError):
             moments(ConfigurationProfile(LINES, 2, {}))
