@@ -15,10 +15,14 @@ that ``.gitignore`` does not exclude).  The side that runs first
 alternates from pair to pair.  The result is written after every pair,
 in the schema of ``BENCH_6.json``: per metric the median and quartiles
 (inclusive method) of each side over the pairs, the number of pairs in
-which the change is better and worse, and the change of the median in
-percent.  The exports live in a temporary directory (under ``$TMPDIR``)
-that is removed at the end.  Run it from the root of the repository, on
-a quiet machine.
+which the change is better and worse, the change of the median in
+percent, the parent's interquartile range q3 - q1 (``parent_iqr``) and
+``gain_rule_met``: the change is better in at least 9 of 10 pairs and
+its median beats the parent's by more than ``parent_iqr`` (a gain is
+claimed only over at least ten pairs, which ``pairs`` shows).  The
+exports live in a temporary directory (under ``$TMPDIR``) that is
+removed at the end.  Run it from the root of the repository, on a quiet
+machine.
 """
 
 from __future__ import annotations
@@ -98,12 +102,16 @@ def summarize(runs: dict, metrics: dict) -> dict:
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         entry = {s: quartiles(values[s]) for s in sides}
         parent_median = statistics.median(values["parent"])
+        change_median = statistics.median(values["change"])
+        better = sum(d < 0 for d in diffs)
+        parent_iqr = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
         entry.update({
-            "change_better_in_pairs": sum(d < 0 for d in diffs),
+            "change_better_in_pairs": better,
             "change_worse_in_pairs": sum(d > 0 for d in diffs),
-            "median_change_pct": round(
-                100 * (statistics.median(values["change"]) - parent_median) / parent_median, 1
-            ),
+            "median_change_pct": round(100 * (change_median - parent_median) / parent_median, 1),
+            "parent_iqr": parent_iqr,
+            "gain_rule_met": 10 * better >= 9 * len(diffs)
+            and sign * (parent_median - change_median) > parent_iqr,
         })
         out["metrics"][name] = entry
     return out

@@ -16,9 +16,10 @@ Geometry document:
 
 Rationals are written as integers or "p/q" strings of ASCII digits
 with an optional leading "-"; number-field elements as arrays of
-rationals (coefficients of powers of the generator).  Unknown keys are
-rejected, multiplicities below 2 are rejected at parse time, and every
-error carries the offending location.
+rationals (coefficients of powers of the generator), non-empty and no
+longer than the field degree.  Unknown keys are rejected,
+multiplicities below 2 are rejected at parse time, and every error
+carries the offending location.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def _element_from_document(value, field: ExactField, loc: str) -> FieldElement:
             raise DocumentError(
                 "array-valued coefficients need a number field", loc
             )
+        if not value:
+            raise DocumentError("empty coefficient vector", loc)
         if len(value) > field.degree:
             raise DocumentError(
                 f"coefficient vector longer than the field degree "

@@ -25,6 +25,9 @@ the line from the projection centre to each in-field root of the
 resultant meets the first conic, and a point of it on the second conic
 is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
+:func:`extract_profile` intersects only the pairs whose common points
+are not already known: a pair with as many known distinct common points
+as its Bezout number is skipped.
 """
 
 from __future__ import annotations
@@ -598,6 +601,18 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     Requires every pairwise intersection to be in-field and transversal;
     the resulting profile must satisfy its incidence identity (Bezout),
     so a validation failure aborts as an internal error.
+
+    Pairs are taken in lexicographic order, and a pair is skipped once
+    its Bezout number of distinct common points is known: 4 for two
+    conics, 1 for two lines.  Points are keyed by their canonical
+    ``sort_key``, so the known points are distinct, and two distinct
+    irreducible curves whose intersection numbers sum to the Bezout
+    number, each at least 1, meet transversally at those points and
+    nowhere else (Fulton, *Algebraic Curves*, 5.3).  Intersecting a
+    skipped pair would return exactly those points, each with
+    multiplicity 1: it could neither raise nor add a curve to a point.
+    So the profile, and the first error with the pair and point it
+    names, are those of intersecting every pair.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -609,9 +624,15 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
 
     # curves i and j both pass through a point exactly when intersect(i, j)
     # returns it (a point outside the field has already raised), so the
-    # pairs alone give each point's multiplicity r
+    # pairs alone give each point's multiplicity r; shared[(i, j)] counts
+    # the distinct known points on both, and a pair with all of its Bezout
+    # number of them known is skipped
+    bezout = curves[0].degree ** 2
     on_curves: dict = {}
+    shared: dict[tuple[int, int], int] = {}
     for i, j in combinations(range(len(curves)), 2):
+        if shared.get((i, j)) == bezout:
+            continue
         for pt, mult in intersect(curves[i], curves[j]):
             if mult > 1:
                 raise NonTransversalIntersection(
@@ -620,7 +641,13 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
                     pair=(i, j),
                     point=pt,
                 )
-            on_curves.setdefault(pt.sort_key(), set()).update((i, j))
+            members = on_curves.setdefault(pt.sort_key(), set())
+            for c in (i, j):
+                if c not in members:
+                    for m in members:
+                        pair = (min(c, m), max(c, m))
+                        shared[pair] = shared.get(pair, 0) + 1
+                    members.add(c)
 
     t: dict[int, int] = {}
     for members in on_curves.values():

@@ -134,6 +134,16 @@ class TestGeometryDocuments:
         with pytest.raises(DocumentError):
             geometry_from_document(doc)
 
+    def test_empty_coefficient_vector_rejected_with_location(self):
+        # [] is not read as 0
+        doc = {
+            "field": {"kind": "number-field", "min_poly": [-2, 0, 1]},
+            "curves": [{"type": "line", "coeffs": [1, [], 0]}],
+        }
+        with pytest.raises(DocumentError) as err:
+            geometry_from_document(doc)
+        assert str(err.value) == "$.curves[0].coeffs[1]: empty coefficient vector"
+
     def test_wrong_coefficient_count(self):
         doc = {
             "field": {"kind": "rational"},

@@ -30,7 +30,7 @@ from harbourne.geometry import (
     transversal_at,
 )
 from harbourne.hconst import local_h
-from harbourne.profiles import CONICS, LINES
+from harbourne.profiles import CONICS, LINES, ConfigurationProfile
 
 Q = RATIONALS
 GAUSS = ExactField((F(1), F(0), F(1)))
@@ -984,3 +984,254 @@ class TestExtractProfileIncidence:
 
     def test_cremona_image(self):
         self._check(_cremona_image_conics())
+
+
+# ---------------------------------------------------------------------------
+# extract_profile against the all-pairs loop it replaced
+
+
+def _all_pairs_profile(config):
+    """extract_profile without pair skipping: every pair is intersected, in
+    lexicographic order, and the first error raised is the answer."""
+    curves = config.curves
+    cls = LINES if curves[0].form is G.CurveForm.LINE else CONICS
+    on_curves = {}
+    for i, j in combinations(range(len(curves)), 2):
+        for pt, mult in intersect(curves[i], curves[j]):
+            if mult > 1:
+                raise NonTransversalIntersection(
+                    f"curves {i} and {j} meet at {pt.canonical()} with "
+                    f"multiplicity {mult}",
+                    pair=(i, j),
+                    point=pt,
+                )
+            on_curves.setdefault(pt.sort_key(), set()).update((i, j))
+    t = {}
+    for members in on_curves.values():
+        t[len(members)] = t.get(len(members), 0) + 1
+    return ConfigurationProfile(cls, len(curves), t)
+
+
+def _outcome(extract, config):
+    try:
+        return extract(config)
+    except GeometryError as err:
+        return err
+
+
+def _exact(value):
+    """Points down to their coordinates, so that equal means identical."""
+    if isinstance(value, ProjPoint):
+        return tuple(c.coeffs for c in value.coords)
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return value
+
+
+@pytest.fixture
+def intersect_calls(monkeypatch):
+    """The curve pairs extract_profile hands to intersect, in order."""
+    pairs = []
+    original = G.intersect
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(G, "intersect", counting)
+    return pairs
+
+
+def _assert_matches_all_pairs(curves, calls, field=Q):
+    """extract_profile gives the all-pairs profile, or its first error with
+    the same type, message, pair, point and found list; calls is reset to
+    the pairs extract_profile intersected."""
+    config = GeometricConfiguration(field, tuple(curves))
+    want = _outcome(_all_pairs_profile, config)
+    calls.clear()
+    got = _outcome(extract_profile, config)
+    assert type(got) is type(want)
+    if isinstance(want, ConfigurationProfile):
+        assert (got.curve_class, got.k, dict(got.t)) == (want.curve_class, want.k, dict(want.t))
+    else:
+        assert str(got) == str(want)
+        for name in ("pair", "point", "found", "expected"):
+            assert _exact(getattr(got, name, None)) == _exact(getattr(want, name, None))
+    return got
+
+
+def _last_pair_index(curves, calls):
+    """Indices of the last pair handed to intersect."""
+    a, b = calls[-1]
+    return tuple(next(n for n, c in enumerate(curves) if c is x) for x in (a, b))
+
+
+def _general_integer_points(rng, n):
+    """n affine integer points, no three collinear."""
+    while True:
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4), 1) for _ in range(n)]
+        if not any(
+            G.det3(tuple(tuple(Q.element(v) for v in p) for p in trio)).is_zero()
+            for trio in combinations(pts, 3)
+        ):
+            return pts
+
+
+def _pencil_members(base, count, field=Q):
+    """count irreducible members d2 + s*d1 (s = 1, -1, 2, -2, ...) of the
+    pencil through four points in general position."""
+    d1 = _line_product_conic(_line_through(base[0], base[1]), _line_through(base[2], base[3]))
+    d2 = _line_product_conic(_line_through(base[0], base[2]), _line_through(base[1], base[3]))
+    members = []
+    for s in range(1, 4 * count):
+        for sign in (1, -1):
+            try:
+                members.append(G.PlaneCurve(
+                    G.CurveForm.CONIC,
+                    tuple(b + field.element(sign * s) * a for a, b in zip(d1, d2)),
+                ))
+            except GeometryError:  # the third line pair of the pencil
+                continue
+            if len(members) == count:
+                return members
+    raise AssertionError("unreachable: a pencil has three degenerate members")
+
+
+def _lines_with_triple_points(rng, k):
+    """k distinct lines with no zero coefficient (so no line passes through a
+    coordinate vertex), three through each of two random points."""
+    centres = [point(Q, rng.randint(-3, 3), rng.randint(-3, 3), 1)]
+    while len(centres) < 2:
+        centre = point(Q, rng.randint(-3, 3), rng.randint(-3, 3), 1)
+        if centre != centres[0]:
+            centres.append(centre)
+    lines = []
+    while len(lines) < k:
+        other = point(Q, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+        through = [c for c in centres if sum(incident(l, c) for l in lines) < 3]
+        if through:
+            if other == through[0]:
+                continue
+            cand = _line_through(through[0], other)
+        else:
+            cand = line(Q, *(rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(3)))
+        if any(c.is_zero() for c in cand.coeffs) or any(proportional(cand, l) for l in lines):
+            continue
+        lines.append(cand)
+    return lines
+
+
+def _rational_point_on(c, through, rng):
+    """A point of the conic c other than through, on a random line through it."""
+    while True:
+        other = point(Q, rng.randint(-3, 3), rng.randint(-3, 3), 1)
+        if other == through:
+            continue
+        found = [p for p, _ in intersect(_line_through(through, other), c) if p != through]
+        if found:
+            return found[0]
+
+
+def _pencil_then_late_error(rng, tangent):
+    """Pencil members m0..m3 through B0..B3 and a conic E = m0 + L*M, with L the
+    line B0B1 and M a line through a further rational point X of m0: E meets
+    m0 in B0, B1, X and one more rational point.  M is chosen so that E
+    touches m1 at a rational point p (tangent), or at random (E then meets m1
+    in B0, B1 and, as a rule, two points outside Q).  The pairs (1, 2) and
+    (1, 3) are known in full once row 0 is done, so the error at (1, 4) or
+    later comes after skipped pairs.  Returns the curves and p (or None)."""
+    while True:
+        base = _random_field_points(rng, Q)
+        if base is None:
+            continue
+        members = _pencil_members(base, 4)
+        m0, m1 = members[:2]
+        el, en = _line_through(base[0], base[1]), _line_through(base[2], base[3])
+        x = _rational_point_on(m0, base[2], rng)
+        if incident(el, x) or any(x == b for b in base):
+            continue
+        p = None
+        if tangent:
+            # m1 = m0 + s*L*N, and E = m1 + t*T*L with T the tangent at p
+            s = next(
+                (b - a) / c for a, b, c in zip(m0.coeffs, m1.coeffs, _line_product_conic(el, en))
+                if not c.is_zero()
+            )
+            p = _rational_point_on(m1, base[3], rng)
+            tan = G.PlaneCurve(G.CurveForm.LINE, m1.gradient(p))
+            if incident(el, p) or any(p == b for b in base) or incident(tan, x):
+                continue
+            t = -s * en.evaluate(x) / tan.evaluate(x)
+            coeffs = tuple(s * a + t * b for a, b in zip(en.coeffs, tan.coeffs))
+        else:
+            other = point(Q, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+            if other == x:
+                continue
+            coeffs = G.cross(x.coords, other.coords)
+        em = _line_product_conic(el, G.PlaneCurve(G.CurveForm.LINE, coeffs))
+        try:
+            extra = G.PlaneCurve(G.CurveForm.CONIC, tuple(a + b for a, b in zip(m0.coeffs, em)))
+            curves = (*members, extra)
+            GeometricConfiguration(Q, curves)
+        except GeometryError:
+            continue
+        row0 = intersect(m0, extra)
+        if len(row0) == 4 and all(m == 1 for _, m in row0):
+            return list(curves), p
+
+
+class TestExtractProfileSkipsKnownPairs:
+    """A pair whose Bezout number of distinct common points is already known
+    is not intersected; profiles and first errors match the all-pairs loop."""
+
+    def test_seven_point_conics_make_120_calls(self, intersect_calls):
+        conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
+        profile = _assert_matches_all_pairs(conics, intersect_calls)
+        assert dict(profile.t) == {2: 72, 3: 11, 15: 7}
+        assert len(intersect_calls) == 120
+
+    def test_pencil_makes_k_minus_one_calls(self, intersect_calls):
+        rng = random.Random(1515)
+        for field, k in [(Q, k) for k in range(2, 8)] + [(ORACLE_FIELDS["sqrt5"], 4)]:
+            base = None
+            while base is None:
+                base = _random_field_points(rng, field)
+            members = _pencil_members(base, k, field)
+            profile = _assert_matches_all_pairs(members, intersect_calls, field)
+            assert dict(profile.t) == {k: 4}
+            assert len(intersect_calls) == k - 1
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (6, 2), (7, 3), (8, 4)])
+    def test_conics_through_five_subsets(self, n, seed, intersect_calls):
+        rng = random.Random(seed)
+        pts = _general_integer_points(rng, n)
+        conics = [conic(Q, *conic_through(s)) for s in combinations(pts, 5)]
+        _assert_matches_all_pairs(conics, intersect_calls)
+
+    def test_cremona_images_of_lines_with_triple_points(self, intersect_calls):
+        rng = random.Random(31415)
+        outcomes = set()
+        for _ in range(8):
+            lines = _lines_with_triple_points(rng, rng.randint(6, 8))
+            got = _assert_matches_all_pairs(lines, intersect_calls)
+            assert sum(count for r, count in got.t.items() if r >= 3) >= 2
+            assert len(intersect_calls) < len(lines) * (len(lines) - 1) // 2
+            images = [cremona_map_curve(l) for l in lines]
+            outcomes.add(type(_assert_matches_all_pairs(images, intersect_calls)))
+        assert outcomes == {ConfigurationProfile, NonTransversalIntersection}
+
+    @pytest.mark.parametrize("tangent", [True, False], ids=["tangent", "outside"])
+    def test_first_error_after_skipped_pairs(self, tangent, intersect_calls):
+        rng = random.Random(f"late error {tangent}")
+        for _ in range(3):
+            curves, p = _pencil_then_late_error(rng, tangent)
+            err = _assert_matches_all_pairs(curves, intersect_calls)
+            i, j = _last_pair_index(curves, intersect_calls)
+            assert i >= 1
+            all_pairs = list(combinations(range(len(curves)), 2))
+            assert len(intersect_calls) < all_pairs.index((i, j)) + 1
+            if tangent:
+                assert isinstance(err, NonTransversalIntersection)
+                assert err.pair == (1, 4) and err.point == p
+            else:
+                assert isinstance(err, IntersectionOutsideField)

@@ -93,3 +93,48 @@ def test_same_outputs_compares_exit_code_stdout_and_stderr():
     assert same == 2 and diffs == ["the parent runs 3 commands, the change 2"]
     same, diffs = compare(parent, [parent[0], parent[2], parent[1]])
     assert same == 1 and len(diffs) == 2 and "the change runs fixtures" in diffs[0]
+
+
+def _run_result(pass_s, rss=20.0, failed=0):
+    return {"correct": True, "failed": failed, "attempted": 100,
+            "metrics": {"pass_s": {"value": pass_s}, "peak_rss_mb": {"value": rss}}}
+
+
+def test_bench_pairs_summary_states_whether_the_gain_rule_holds():
+    summarize = load_script("bench_pairs").summarize
+    metrics = {"pass_s": "lower", "peak_rss_mb": "lower"}
+    parent = [0.30, 0.31, 0.29, 0.30, 0.32, 0.30, 0.28, 0.30, 0.31, 0.30]
+    runs = {"seeds": list(range(1, 11)),
+            "parent": [_run_result(v) for v in parent],
+            "change": [_run_result(v - 0.1) for v in parent]}
+    entry = summarize(runs, metrics)["metrics"]["pass_s"]
+    assert entry["parent"] == {"median": 0.3, "q1": 0.3, "q3": 0.3075}
+    assert entry["parent_iqr"] == 0.0075
+    assert entry["change_better_in_pairs"] == 10 and entry["gain_rule_met"] is True
+    assert entry["median_change_pct"] == -33.3
+
+    # 8 of 10 pairs better: the rule fails on the count, whatever the gap
+    runs["change"][0] = _run_result(0.31)
+    runs["change"][1] = _run_result(0.32)
+    entry = summarize(runs, metrics)["metrics"]["pass_s"]
+    assert entry["change_better_in_pairs"] == 8 and entry["gain_rule_met"] is False
+
+    # better in every pair, but by less than the parent's spread
+    runs["change"] = [_run_result(v - 0.005) for v in parent]
+    entry = summarize(runs, metrics)["metrics"]["pass_s"]
+    assert entry["change_better_in_pairs"] == 10 and entry["gain_rule_met"] is False
+
+    # an unchanged metric is no gain
+    assert summarize(runs, metrics)["metrics"]["peak_rss_mb"]["gain_rule_met"] is False
+
+
+def test_bench_pairs_gain_rule_reads_the_better_direction():
+    summarize = load_script("bench_pairs").summarize
+    parent = [1.0, 1.1, 0.9, 1.0]
+    runs = {"seeds": [1, 2, 3, 4],
+            "parent": [_run_result(v) for v in parent],
+            "change": [_run_result(v + 1) for v in parent]}
+    higher = summarize(runs, {"pass_s": "higher"})["metrics"]["pass_s"]
+    lower = summarize(runs, {"pass_s": "lower"})["metrics"]["pass_s"]
+    assert higher["gain_rule_met"] is True and higher["change_better_in_pairs"] == 4
+    assert lower["gain_rule_met"] is False and lower["change_worse_in_pairs"] == 4
