@@ -27,7 +27,9 @@ is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
 :func:`extract_profile` intersects only the pairs whose common points
 are not already known: a pair with as many known distinct common points
-as its Bezout number is skipped.
+as its Bezout number is skipped, and a conic pair with three of them is
+completed linearly from the pencil member through them that splits.
+Each conic keeps its matrix S, adj S and det S from construction.
 """
 
 from __future__ import annotations
@@ -161,6 +163,10 @@ class PlaneCurve:
 
     form: CurveForm
     coeffs: tuple[FieldElement, ...]
+    # a conic's doubled matrix S, its adjugate and det S, computed once
+    _matrix: Mat3 | None = dc_field(default=None, init=False, compare=False, repr=False)
+    _adjugate: Mat3 | None = dc_field(default=None, init=False, compare=False, repr=False)
+    _det: FieldElement | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = 3 if self.form is CurveForm.LINE else 6
@@ -171,11 +177,19 @@ class PlaneCurve:
             raise GeometryError("coefficients must share one field")
         if all(c.is_zero() for c in self.coeffs):
             raise ValueError("zero coefficient vector")
-        if self.form is CurveForm.CONIC and det3(conic_matrix(self)).is_zero():
-            raise GeometryError(
-                "conic is degenerate (zero determinant), hence reducible; "
-                "only irreducible conics are supported"
-            )
+        if self.form is CurveForm.CONIC:
+            a, b, c, d, e, f = self.coeffs
+            s = ((a + a, d, e), (d, b + b, f), (e, f, c + c))
+            adj = adjugate3(s)
+            det = s[0][0] * adj[0][0] + s[0][1] * adj[1][0] + s[0][2] * adj[2][0]
+            if det.is_zero():
+                raise GeometryError(
+                    "conic is degenerate (zero determinant), hence reducible; "
+                    "only irreducible conics are supported"
+                )
+            object.__setattr__(self, "_matrix", s)
+            object.__setattr__(self, "_adjugate", adj)
+            object.__setattr__(self, "_det", det)
 
     @property
     def field(self) -> ExactField:
@@ -196,7 +210,7 @@ class PlaneCurve:
     def gradient(self, p: ProjPoint) -> tuple[FieldElement, ...]:
         if self.form is CurveForm.LINE:
             return self.coeffs
-        return mat_vec(conic_matrix(self), p.coords)
+        return mat_vec(self._matrix, p.coords)
 
     def __str__(self):
         return f"{self.form.value}[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -252,13 +266,9 @@ Mat3 = tuple[tuple[FieldElement, ...], ...]
 
 def conic_matrix(c: PlaneCurve) -> Mat3:
     """The doubled symmetric matrix S of a conic, whose entries are its
-    coefficients: Q(p) = p^T S p / 2, and S p is the gradient at p."""
-    a, b, cc, d, e, f = c.coeffs
-    return (
-        (a + a, d, e),
-        (d, b + b, f),
-        (e, f, cc + cc),
-    )
+    coefficients: Q(p) = p^T S p / 2, and S p is the gradient at p.  It
+    is built once, with the conic."""
+    return c._matrix
 
 
 def det3(m: Mat3) -> FieldElement:
@@ -400,7 +410,7 @@ def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
 def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
     """p^T S q = Q(p+q) - Q(p) - Q(q), the polarization of the conic."""
     return sum(
-        (x * y for x, y in zip(p.coords, mat_vec(conic_matrix(c), q.coords))),
+        (x * y for x, y in zip(p.coords, mat_vec(c._matrix, q.coords))),
         c.field.zero(),
     )
 
@@ -449,7 +459,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     projection finds the lone point, if any.
     """
     field = f.field
-    sf, sg = conic_matrix(f), conic_matrix(g)
+    sf, sg = f._matrix, g._matrix
 
     def member(lam: FieldElement, mu: FieldElement) -> Mat3:
         return tuple(
@@ -462,7 +472,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
 
     # det(lam*Sf + mu*Sg) = lam^3 det Sf + lam^2 mu tr(adj Sf Sg)
     #                       + lam mu^2 tr(Sf adj Sg) + mu^3 det Sg
-    cubic = [det3(sg), trace(adjugate3(sg), sf), trace(adjugate3(sf), sg), det3(sf)]
+    cubic = [g._det, trace(g._adjugate, sf), trace(f._adjugate, sg), f._det]
     roots, _ = binary_form_roots(cubic, field)
     members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
     lines = next((ls for ls in members if ls is not None), None)
@@ -496,6 +506,38 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
             expected=4,
         )
     return pts
+
+
+def _complete_pair(
+    f: PlaneCurve, g: PlaneCurve, known: Sequence[ProjPoint]
+) -> list[tuple[ProjPoint, int]]:
+    """intersect(f, g) for two conics with three known distinct common
+    points P1, P2, P3 (canonical), by the pencil argument of
+    :func:`_conic_conic` with no root finding.
+
+    R = P1 + P2 lies on the line L = P1 x P2, and not on f, which would
+    otherwise contain L.  As f(P1) = f(P2) = 0, f(R) = P1^T Sf P2, and
+    likewise g(R).  So h = g(R)*f - f(R)*g vanishes at three points of L
+    and splits as L*M, with M through P3, which is not on L.  M is then
+    the tangent of h at P3, with coefficients S_h P3 = g(R)*Sf P3 -
+    f(R)*Sg P3.  Since I_P(f, g) = I_P(f, h) = I_P(f, L) + I_P(f, M)
+    (Fulton, *Algebraic Curves*, 3.3), L adds 1 at P1 and at P2, and M
+    adds 1 at P3 and at its second point X on f.  Q = L x M lies on M and
+    not at P3, and f(t*P3 + u*Q) = u*(t*B + u*f(Q)) with B = P3^T Sf Q, so
+    X = f(Q)*P3 - B*Q (Q itself when Q is P1 or P2, where f(Q) = 0).
+    """
+    p1, p2, p3 = known
+    fr, gr = _conic_bilinear(f, p1, p2), _conic_bilinear(g, p1, p2)
+    fp3 = f.gradient(p3)
+    m = [gr * a - fr * b for a, b in zip(fp3, g.gradient(p3))]
+    q = ProjPoint(cross(cross(p1.coords, p2.coords), m))
+    fq, bq = f.evaluate(q), sum((a * b for a, b in zip(fp3, q.coords)), f.field.zero())
+    x = ProjPoint(tuple(fq * u - bq * v for u, v in zip(p3.coords, q.coords))).canonical()
+    if not g.evaluate(x).is_zero():
+        raise AssertionError("completed pair meets f off g")
+    hits = {p: 1 for p in known}
+    hits[x] = hits.get(x, 0) + 1
+    return sorted(hits.items(), key=lambda pm: pm[0].sort_key())
 
 
 def _split_degenerate(m: Mat3, field: ExactField) -> list[PlaneCurve] | None:
@@ -611,8 +653,16 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     nowhere else (Fulton, *Algebraic Curves*, 5.3).  Intersecting a
     skipped pair would return exactly those points, each with
     multiplicity 1: it could neither raise nor add a curve to a point.
-    So the profile, and the first error with the pair and point it
-    names, are those of intersecting every pair.
+
+    A conic pair with three known distinct common points P1, P2, P3 is
+    completed without root finding (:func:`_complete_pair`): the pencil
+    member through P1, P2 and a third point of the line P1P2 splits as
+    that line times a line M through P3 (Fulton, 3.3), M meets the first
+    conic again in one point X, found linearly, and I_P(f, g) is 1 at
+    each known point plus 1 where P = X.  The list is the one intersect
+    returns: the same canonical points in the same order, with the same
+    multiplicities.  So the profile, and the first error with the pair
+    and point it names, are those of intersecting every pair.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -624,16 +674,22 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
 
     # curves i and j both pass through a point exactly when intersect(i, j)
     # returns it (a point outside the field has already raised), so the
-    # pairs alone give each point's multiplicity r; shared[(i, j)] counts
-    # the distinct known points on both, and a pair with all of its Bezout
-    # number of them known is skipped
+    # pairs alone give each point's multiplicity r; shared[(i, j)] lists
+    # the distinct known points on both.  A pair with all of its Bezout
+    # number of them known is skipped, and a conic pair with three of
+    # them is completed
     bezout = curves[0].degree ** 2
     on_curves: dict = {}
-    shared: dict[tuple[int, int], int] = {}
+    shared: dict[tuple[int, int], list[ProjPoint]] = {}
     for i, j in combinations(range(len(curves)), 2):
-        if shared.get((i, j)) == bezout:
+        known = shared.get((i, j), [])
+        if len(known) == bezout:
             continue
-        for pt, mult in intersect(curves[i], curves[j]):
+        if len(known) == 3:
+            pts = _complete_pair(curves[i], curves[j], known)
+        else:
+            pts = intersect(curves[i], curves[j])
+        for pt, mult in pts:
             if mult > 1:
                 raise NonTransversalIntersection(
                     f"curves {i} and {j} meet at {pt.canonical()} with "
@@ -645,8 +701,7 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
             for c in (i, j):
                 if c not in members:
                     for m in members:
-                        pair = (min(c, m), max(c, m))
-                        shared[pair] = shared.get(pair, 0) + 1
+                        shared.setdefault((min(c, m), max(c, m)), []).append(pt)
                     members.add(c)
 
     t: dict[int, int] = {}

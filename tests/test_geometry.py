@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from conftest import SEVEN_POINTS, conic_through
@@ -914,6 +914,25 @@ class TestConicConicPath:
         assert fallback == []
 
 
+class TestCompletePair:
+    """Fed any three distinct common points, in any order, _complete_pair
+    returns exactly intersect's list: the same canonical coordinates,
+    multiplicities and order.  A tangent pair has three distinct common
+    points, so its point of contact plays each of the roles P1, P2, P3."""
+
+    @pytest.mark.parametrize("kind", ["transversal", "tangent"])
+    @pytest.mark.parametrize("name", ["Q", "sqrt5"])
+    def test_every_ordering_matches_intersect(self, name, kind):
+        rng = random.Random(f"complete {name} {kind}")
+        for f, g, _ in _oracle_pairs(rng, ORACLE_FIELDS[name], kind, 4):
+            for a, b in ((f, g), (g, f)):
+                want = intersect(a, b)
+                assert sorted(m for _, m in want) == ORACLE_KINDS[kind]
+                for trio in combinations([p for p, _ in want], 3):
+                    for known in permutations(trio):
+                        assert _exact(G._complete_pair(a, b, known)) == _exact(want)
+
+
 def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
     """Over Q(sqrt5), intersect and extract_profile ask for no field
     inverse from geometry code except to normalize a point; conics are
@@ -1040,6 +1059,21 @@ def intersect_calls(monkeypatch):
 
     monkeypatch.setattr(G, "intersect", counting)
     return pairs
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """The (f, g, known) of every pair extract_profile completes from three
+    known common points, in order."""
+    calls = []
+    original = G._complete_pair
+
+    def counting(f, g, known):
+        calls.append((f, g, list(known)))
+        return original(f, g, known)
+
+    monkeypatch.setattr(G, "_complete_pair", counting)
+    return calls
 
 
 def _assert_matches_all_pairs(curves, calls, field=Q):
@@ -1180,15 +1214,82 @@ def _pencil_then_late_error(rng, tangent):
             return list(curves), p
 
 
+def _touching_after_known_points(rng, k):
+    """k conics through three points A, B, D, in random order.  Two of them,
+    T*BD + s*AB*AD with T a line through A, touch at A; the others pass
+    through two more random points each.  Returns the curves, A and the
+    indices of the touching pair, or None when that pair comes first, so
+    that its common points would not be known when it is reached."""
+    a, b, d, on_t = _general_integer_points(rng, 4)
+    base = [point(Q, *v) for v in (a, b, d)]
+    others = []
+    while len(others) < k - 2:
+        extra = [(rng.randint(-9, 9), rng.randint(-9, 9), 1) for _ in range(2)]
+        five = [tuple(Q.element(v) for v in p) for p in (a, b, d, *extra)]
+        if any(G.det3(trio).is_zero() for trio in combinations(five, 3)):
+            continue
+        others.append(conic(Q, *conic_through((a, b, d, *extra))))
+    tangent = _line_through(base[0], point(Q, *on_t))
+    touching = _line_product_conic(tangent, _line_through(base[1], base[2]))
+    chords = _line_product_conic(_line_through(*base[:2]), _line_through(base[0], base[2]))
+    pair = []
+    for s in rng.sample([-3, -2, -1, 1, 2, 3], 6):
+        try:
+            pair.append(G.PlaneCurve(
+                G.CurveForm.CONIC, tuple(x + Q.element(s) * y for x, y in zip(touching, chords))
+            ))
+        except GeometryError:  # the degenerate members of the pencil
+            continue
+        if len(pair) == 2:
+            break
+    curves = others + pair
+    rng.shuffle(curves)
+    indices = tuple(sorted(curves.index(c) for c in pair))
+    if indices[0] == 0:
+        return None
+    return curves, base[0], indices
+
+
 class TestExtractProfileSkipsKnownPairs:
     """A pair whose Bezout number of distinct common points is already known
-    is not intersected; profiles and first errors match the all-pairs loop."""
+    is not intersected, and a conic pair with three of them known is
+    completed; profiles and first errors match the all-pairs loop."""
 
-    def test_seven_point_conics_make_120_calls(self, intersect_calls):
+    def test_seven_point_conics_make_32_calls_and_88_completions(
+        self, intersect_calls, completions
+    ):
         conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
         profile = _assert_matches_all_pairs(conics, intersect_calls)
         assert dict(profile.t) == {2: 72, 3: 11, 15: 7}
-        assert len(intersect_calls) == 120
+        assert (len(intersect_calls), len(completions)) == (32, 88)
+
+    def test_cremona_image_conics_make_6_calls_and_9_completions(
+        self, intersect_calls, completions
+    ):
+        profile = _assert_matches_all_pairs(_cremona_image_conics(), intersect_calls)
+        assert dict(profile.t) == {2: 6, 3: 3, 4: 1, 7: 3}
+        assert (len(intersect_calls), len(completions)) == (6, 9)
+
+    def test_first_error_at_a_completed_pair(self, intersect_calls, completions):
+        rng = random.Random("touching at a known point")
+        roles = set()
+        done = 0
+        while done < 8:
+            made = _touching_after_known_points(rng, rng.randint(3, 5))
+            if made is None:
+                continue
+            curves, a, pair = made
+            completions.clear()
+            err = _assert_matches_all_pairs(curves, intersect_calls)
+            assert isinstance(err, NonTransversalIntersection)
+            if err.pair != pair:  # two other conics touch at B or D first
+                continue
+            assert err.point == a
+            f, g, known = completions[-1]
+            assert (f, g) == tuple(curves[i] for i in err.pair)
+            roles.add("P3" if known.index(a) == 2 else "P1/P2")
+            done += 1
+        assert roles == {"P1/P2", "P3"}
 
     def test_pencil_makes_k_minus_one_calls(self, intersect_calls):
         rng = random.Random(1515)

@@ -9,8 +9,11 @@ the ``klein-conics`` fixture row of ``harbourne fixtures``.
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
+import pytest
+
+from harbourne import geometry as G
 from harbourne.cli import _FIXTURES
 from harbourne.exactfield import ExactField
 from harbourne.geometry import (
@@ -22,6 +25,7 @@ from harbourne.geometry import (
     extract_profile,
     frame_inverse_columns,
     incident,
+    intersect,
     line,
     point,
 )
@@ -116,23 +120,58 @@ def _base_points(lines, singular, rng):
         return pts
 
 
-def test_klein_lines_and_their_cremona_image():
+@pytest.fixture(scope="module")
+def klein():
+    """The group, its 21 axes, their 49 crossings and the Cremona image."""
     group = _group(_generators())
-    assert len(group) == 168
     lines = _klein_lines(group)
+    singular = _singular_points(lines)
+    frame = frame_inverse_columns(*_base_points(lines, singular, random.Random(7)))
+    conics = tuple(cremona_map_curve(apply_to_curve(frame, l)) for l in lines)
+    return group, lines, singular, conics
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(G, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(G, name, counting)
+    return calls
+
+
+def test_klein_lines_and_their_cremona_image(klein, monkeypatch):
+    group, lines, singular, conics = klein
+    assert len(group) == 168
     assert len(lines) == 21
 
     profile = extract_profile(GeometricConfiguration(PHI7, tuple(lines)))
     assert dict(profile.t) == {3: 28, 4: 21}
     assert local_h(profile).h == -3
 
-    singular = _singular_points(lines)
     assert len(singular) == 49
-    frame = frame_inverse_columns(*_base_points(lines, singular, random.Random(7)))
-    conics = tuple(cremona_map_curve(apply_to_curve(frame, l)) for l in lines)
+    # every pair after the first row shares the three base points, so 99
+    # of the 119 pairs left after Bezout skipping are completed
+    intersect_calls = _counting(monkeypatch, "intersect")
+    completions = _counting(monkeypatch, "_complete_pair")
     image = extract_profile(GeometricConfiguration(PHI7, conics))
+    assert (len(intersect_calls), len(completions)) == (20, 99)
     assert dict(image.t) == {3: 28, 4: 21, 21: 3}
     assert local_h(image).h == F(-147, 52)
 
     fixture = next(f for f in _FIXTURES if f["name"].startswith("klein-conics"))
     assert dict(image.t) == fixture["t_expect"] and local_h(image).h == fixture["h"]
+
+
+def test_completion_matches_intersect_on_a_klein_pair(klein):
+    f, g = klein[3][:2]
+    want = intersect(f, g)
+    assert [m for _, m in want] == [1, 1, 1, 1]
+    exact = [(tuple(c.coeffs for c in p.coords), m) for p, m in want]
+    for trio in combinations([p for p, _ in want], 3):
+        for known in permutations(trio):
+            got = G._complete_pair(f, g, known)
+            assert [(tuple(c.coeffs for c in p.coords), m) for p, m in got] == exact
