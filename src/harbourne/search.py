@@ -12,7 +12,10 @@ lower-bound probe.
 Minimization does not enumerate.  h = (gamma*k - f1)/f0, the lt filter
 reads (k, f0, f1, t2) and hirz11 reads t2, t3 and sum_{r>=5} (r-4) t_r,
 so a dynamic program over moment states, each weighted by its number of
-t-vectors, gives the minimum and both counts exactly; only the argmin
+t-vectors, gives the minimum and both counts exactly.  The last two
+levels close by group: the states that share (3*f0 + rem, f1 + rem)
+have the same finals, so each group visits each t2 once, weighted by
+the suffix sum of its states' counts over rem >= t2.  Only the argmin
 profiles are rebuilt, in enumeration order, and checked one by one.
 The states held across the layers are capped at ``MAX_MOMENT_STATES``;
 a query that needs more is refused with :class:`SearchQueryError`.
@@ -178,15 +181,25 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
 
     h = (gamma*k - f1)/f0 and both filters read only moments, so levels
     r = r_max..4 map each state (remaining budget, f0, f1) to the number
-    of t-vectors reaching it.  Levels 3 and 2 close every state into
+    of t-vectors reaching it.  Levels 3 and 2 close the states into
     finals (f0, f1, s), where s is the statistic of the filter: t2 for lt,
     t2 + t3 - sum_{r>=5} (r-4) t_r for hirz11, and 0 otherwise.  Over the
     levels r >= 4 the sum is f1 - 4*f0, so the state determines it and
     carries no fourth coordinate.  A final fixes h and the verdict of the
-    filter.  Finals are streamed into the counts and the argmin set, never
-    stored.  States that reach an argmin final are then marked backwards,
-    and a walk in enumeration order along marked states rebuilds the tied
-    profiles.
+    filter.
+
+    With t2 = rem - 3*t_3, the finals of a state are F0 = f0 + (rem +
+    2*t2)/3 and F1 = f1 + rem + t2 for t2 = rem, rem - 3, ..., rem mod 3,
+    and s = t2 for lt, 4*F0 - F1 - t2 for hirz11.  They depend on the
+    state only through its group (3*f0 + rem, f1 + rem), which fixes
+    rem mod 3, and the states of one group differ only in rem.  So each
+    group is closed once: each t2 from its largest rem down gets one
+    verdict and one comparison of h, weighted by the suffix sum of the
+    counts of the group's states with rem >= t2.  Finals are streamed
+    into the counts and the argmin set, never stored.  The states that
+    reach an argmin final are marked backwards, through their parents
+    (rem + c*C(r,2), f0 - c, f1 - r*c), and a walk in enumeration order
+    along marked states rebuilds the tied profiles.
     """
     k = query.k
     budget, r_max = _shape(query)
@@ -228,32 +241,55 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
         held += len(nxt)
         layers.append(nxt)
 
+    # Levels 3 and 2, by group (see the docstring).  The state of group
+    # (g0, g1) with a given rem is (rem, (g0 - rem)/3, g1 - rem).
+    last = layers[-1]
+    tops: dict = {}  # group -> the largest rem of its states
+    for rem, f0, f1 in last:
+        key = 3 * f0 + rem, f1 + rem
+        if tops.get(key, -1) < rem:
+            tops[key] = rem
+    step = 3 if r_max >= 3 else budget + 1  # with no level 3, t2 = rem
+
     enumerated = surviving = 0
     best: tuple[int, int] | None = None  # h as (numerator, f0 > 0)
-    argmin_finals: set = set()
-    reaching: set = set()  # the states of the last layer with an argmin final
-    for state, n in layers[-1].items():
-        for _, final in finals(state):
-            enumerated += n
-            f0, f1, s = final
+    ties: list = []  # (group, t2, final) of every argmin final
+    for key, top in tops.items():
+        g0, g1 = key
+        weight = 0  # t-vectors through the group's states with rem >= t2
+        for t2 in range(top, -1, -step):
+            weight += last.get((t2, (g0 - t2) // 3, g1 - t2), 0)
+            enumerated += weight
+            f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
+            s = 4 * f0 - f1 - t2 if hirz else t2 if lt else 0
             if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, f0, f1, s):
                 continue
-            surviving += n
+            surviving += weight
             num = gamma_k - f1
             if best is None or num * best[1] < best[0] * f0:
                 best = num, f0
-                argmin_finals, reaching = {final}, {state}
+                ties = [(key, t2, (f0, f1, s))]
             elif num * best[1] == best[0] * f0:
-                argmin_finals.add(final)
-                reaching.add(state)
+                ties.append((key, t2, (f0, f1, s)))
     if enumerated != count:
         raise AssertionError(f"moment states hold {enumerated} t-vectors, not {count}")
 
+    argmin_finals = {final for _, _, final in ties}
+    reaching = {  # the states of the last layer with an argmin final
+        state
+        for (g0, g1), t2, _ in ties
+        for rem in range(tops[g0, g1], t2 - 1, -step)
+        if (state := (rem, (g0 - rem) // 3, g1 - rem)) in last
+    }
+
     marks = [reaching]
     for i in range(len(levels) - 1, -1, -1):
-        below = marks[0]
+        r, part = levels[i]
         marks.insert(0, {
-            st for st in layers[i] if any(ch in below for _, ch in children(i, st))
+            parent
+            for rem, f0, f1 in marks[0]
+            for c in range(f0 + 1)
+            if (parent := (rem + c * part, f0 - c, f1 - r * c)) in layers[i]
         })
 
     argmins: list[ConfigurationProfile] = []

@@ -14,6 +14,7 @@ from harbourne.profiles import (
     ONE_ONE,
     plane_curves,
 )
+from harbourne import search
 from harbourne.search import (
     Filter,
     SearchQuery,
@@ -308,3 +309,119 @@ class TestMomentStateSearch:
             assert _lt_holds(k, f0, f1, t2) == want, (k, f0, f1, t2)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+
+def per_state_close(query: SearchQuery):
+    """(enumerated, filtered, min h, argmin finals) of the moment-state DP
+    with levels 3 and 2 closed state by state: every last-layer state
+    (rem, f0, f1) walks every t_3 from rem // 3 down to 0."""
+    k, gamma = query.k, query.curve_class.pairwise_intersection
+    budget, r_max = gamma * comb(k, 2), k - 1 if query.require_tk_zero else k
+    hirz = Filter.HIRZEBRUCH_11 in query.filters
+    lt = Filter.LT_QUADRATIC in query.filters
+    layer = {(budget, 0, 0): 1}
+    for r in range(r_max, 3, -1):
+        part, nxt = comb(r, 2), {}
+        for (rem, f0, f1), n in layer.items():
+            for c in range(rem // part + 1):
+                child = (rem - c * part, f0 + c, f1 + r * c)
+                nxt[child] = nxt.get(child, 0) + n
+        layer = nxt
+    enumerated = filtered = 0
+    best, finals = None, set()
+    for (rem, f0, f1), n in layer.items():
+        for c3 in range(rem // 3 + 1 if r_max >= 3 else 1):
+            t2 = rem - 3 * c3
+            final = (f0 + c3 + t2, f1 + 3 * c3 + 2 * t2)
+            s = 4 * f0 - f1 + c3 + t2 if hirz else t2 if lt else 0
+            enumerated += n
+            if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, *final, s):
+                continue
+            filtered += n
+            h = Fraction(gamma * k - final[1], final[0])
+            if best is None or h < best:
+                best, finals = h, set()
+            if h == best:
+                finals.add((*final, s))
+    return enumerated, filtered, best, finals
+
+
+def final_of(profile: ConfigurationProfile, query: SearchQuery):
+    """(f0, f1, s) of a profile, s the statistic its filter reads."""
+    t = dict(profile.t)
+    f0, f1, t2 = sum(t.values()), sum(r * c for r, c in t.items()), t.get(2, 0)
+    if Filter.HIRZEBRUCH_11 in query.filters:
+        return f0, f1, t2 + t.get(3, 0) - sum((r - 4) * c for r, c in t.items() if r > 4)
+    return f0, f1, t2 if Filter.LT_QUADRATIC in query.filters else 0
+
+
+class TestGroupClose:
+    """The last layer closes once per group of states; the per-state close
+    it replaced is the oracle."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            SearchQuery(CONICS, 11, True, LT),
+            SearchQuery(CONICS, 10, False),
+            SearchQuery(LINES, 14, True),
+            SearchQuery(ONE_ONE, 14, True, HIRZ),
+            SearchQuery(ONE_ONE, 12, False),
+            SearchQuery(plane_curves(3), 7, True),
+        ],
+        ids=lambda q: f"{q.curve_class.label()}-k{q.k}",
+    )
+    def test_matches_per_state_close(self, query):
+        result = minimize_h(query)
+        enumerated, filtered, best, finals = per_state_close(query)
+        assert (result.enumerated_count, result.filtered_count) == (enumerated, filtered)
+        assert result.min_h == best
+        assert {final_of(p, query) for p in result.argmin_profiles} == finals
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_lt_rejections(self, monkeypatch, k):
+        # the real lt first rejects a t-vector at k = 18; this predicate
+        # rejects finals from k = 3 on, and both sides read it
+        def rejects(k, f0, f1, t2):
+            return (f0 + f1 + t2) % 4 == 0
+
+        monkeypatch.setattr(search, "_lt_holds", lambda *m: not rejects(*m))
+        query = SearchQuery(CONICS, k, True, LT)
+        enumerated = filtered = 0
+        best, argmins = None, []
+        for profile in enumerate_profiles(query):
+            enumerated += 1
+            f0, f1, t2 = final_of(profile, query)
+            if rejects(k, f0, f1, t2):
+                continue
+            filtered += 1
+            h = local_h(profile).h
+            if best is None or h < best:
+                best, argmins = h, []
+            if h == best:
+                argmins.append(dict(profile.t))
+        result = minimize_h(query)
+        assert filtered < enumerated
+        assert (result.enumerated_count, result.filtered_count) == (enumerated, filtered)
+        assert result.min_h == best
+        assert [dict(p.t) for p in result.argmin_profiles] == argmins
+
+    @pytest.mark.parametrize("k, calls", [(8, 3990), (9, 10748)])
+    def test_one_lt_verdict_per_group_and_t2(self, monkeypatch, k, calls):
+        # the per-state close made 6,900 and 24,001 calls
+        seen = []
+        holds = search._lt_holds
+        monkeypatch.setattr(search, "_lt_holds", lambda *m: seen.append(m) or holds(*m))
+        minimize_h(SearchQuery(CONICS, k, True, LT))
+        assert len(seen) == calls
+
+    def test_conic_k18_lt(self):
+        # k = 18 is where lt first rejects t-vectors and first binds:
+        # the raw minimum there is -81/17
+        result = minimize_h(SearchQuery(CONICS, 18, True, LT))
+        assert result.enumerated_count == 4_806_644_695
+        assert result.filtered_count == 4_806_626_697
+        assert result.min_h == Fraction(-9, 2)
+        assert len(result.argmin_profiles) == 6189
+        assert dict(result.argmin_profiles[0].t) == {17: 1, 9: 7, 8: 8}
+        assert dict(result.argmin_profiles[-1].t) == {7: 27, 6: 3}
