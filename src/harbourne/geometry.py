@@ -26,10 +26,12 @@ resultant meets the first conic, and a point of it on the second conic
 is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
 :func:`extract_profile` intersects only the pairs whose common points
-are not already known: a pair with as many known distinct common points
-as its Bezout number is skipped, and a conic pair with three of them is
-completed linearly from the pencil member through them that splits.
-Each conic keeps its matrix S, adj S and det S from construction.
+are not already known.  A conic pair with fewer than three of them known
+first tests the second conic at the points found on the first.  Then a
+pair with as many known distinct common points as its Bezout number is
+skipped, and a conic pair with three of them is completed linearly from
+the pencil member through them that splits.  Each conic keeps its
+matrix S, adj S and det S from construction.
 """
 
 from __future__ import annotations
@@ -264,19 +266,9 @@ def incident(curve: PlaneCurve, p: ProjPoint) -> bool:
 Mat3 = tuple[tuple[FieldElement, ...], ...]
 
 
-def conic_matrix(c: PlaneCurve) -> Mat3:
-    """The doubled symmetric matrix S of a conic, whose entries are its
-    coefficients: Q(p) = p^T S p / 2, and S p is the gradient at p.  It
-    is built once, with the conic."""
-    return c._matrix
-
-
 def det3(m: Mat3) -> FieldElement:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    a, b, c = cross(m[1], m[2])
+    return m[0][0] * a + m[0][1] * b + m[0][2] * c
 
 
 def mat_vec(m: Mat3, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -296,16 +288,9 @@ def transpose(m: Mat3) -> Mat3:
 
 
 def adjugate3(m: Mat3) -> Mat3:
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = (
-            m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-            - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        )
-        return minor if (i + j) % 2 == 0 else -minor
-
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+    """Column j is the cross product of the rows other than j, in cyclic
+    order, so that m * adj m = det m * I."""
+    return transpose((cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])))
 
 
 def kernel_vector(m: Mat3) -> tuple[FieldElement, ...] | None:
@@ -663,6 +648,14 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     returns: the same canonical points in the same order, with the same
     multiplicities.  So the profile, and the first error with the pair
     and point it names, are those of intersecting every pair.
+
+    Before that rule, a conic pair (i, j) with fewer than three known
+    common points is probed: curve j is evaluated at each point found so
+    far on curve i but not on j, and each exact zero is recorded as on j.
+    A zero is a true common point, so skipping and completion keep their
+    premises, and probing only learns earlier what intersecting (i, j)
+    returns: the profile and the first error do not change.  Lines, and
+    pairs with three known points, are not probed.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -673,16 +666,27 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     cls = LINES if forms == {CurveForm.LINE} else CONICS
 
     # curves i and j both pass through a point exactly when intersect(i, j)
-    # returns it (a point outside the field has already raised), so the
-    # pairs alone give each point's multiplicity r; shared[(i, j)] lists
-    # the distinct known points on both.  A pair with all of its Bezout
-    # number of them known is skipped, and a conic pair with three of
-    # them is completed
+    # returns it, so the pairs give each point's curves; shared[(i, j)]
+    # lists the distinct known points on both, and found_on[c] those on c,
+    # each with its set of curves
     bezout = curves[0].degree ** 2
     on_curves: dict = {}
     shared: dict[tuple[int, int], list[ProjPoint]] = {}
+    found_on = [[] for _ in curves]
+
+    def record(pt, c, members):
+        if c not in members:
+            for m in members:
+                shared.setdefault((min(c, m), max(c, m)), []).append(pt)
+            members.add(c)
+            found_on[c].append((pt, members))
+
     for i, j in combinations(range(len(curves)), 2):
-        known = shared.get((i, j), [])
+        known = shared.setdefault((i, j), [])
+        if bezout == 4 and len(known) < 3:
+            for pt, members in found_on[i]:
+                if j not in members and curves[j].evaluate(pt).is_zero():
+                    record(pt, j, members)
         if len(known) == bezout:
             continue
         if len(known) == 3:
@@ -698,11 +702,8 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
                     point=pt,
                 )
             members = on_curves.setdefault(pt.sort_key(), set())
-            for c in (i, j):
-                if c not in members:
-                    for m in members:
-                        shared.setdefault((min(c, m), max(c, m)), []).append(pt)
-                    members.add(c)
+            record(pt, i, members)
+            record(pt, j, members)
 
     t: dict[int, int] = {}
     for members in on_curves.values():
@@ -814,7 +815,7 @@ def apply_to_curve(m_inverse: Mat3, c: PlaneCurve) -> PlaneCurve:
     if c.form is CurveForm.LINE:
         coeffs = mat_vec(transpose(m_inverse), c.coeffs)
         return PlaneCurve(CurveForm.LINE, tuple(coeffs))
-    s = mat_mul(transpose(m_inverse), mat_mul(conic_matrix(c), m_inverse))
+    s = mat_mul(transpose(m_inverse), mat_mul(c._matrix, m_inverse))
     half = c.field.element(Fraction(1, 2))
     coeffs = (s[0][0] * half, s[1][1] * half, s[2][2] * half, s[0][1], s[0][2], s[1][2])
     return PlaneCurve(CurveForm.CONIC, coeffs)

@@ -228,10 +228,11 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
 
     layers = [{(budget, 0, 0): 1}]
     held = 1
-    for i in range(len(levels)):
+    for r, part in levels:
         nxt: dict = {}
-        for state, n in layers[-1].items():
-            for _, child in children(i, state):
+        for (rem, f0, f1), n in layers[-1].items():
+            for c in range(rem // part, -1, -1):  # t_r descending, as in children()
+                child = rem - c * part, f0 + c, f1 + r * c
                 nxt[child] = nxt.get(child, 0) + n
             if held + len(nxt) > MAX_MOMENT_STATES:
                 raise SearchQueryError(

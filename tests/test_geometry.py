@@ -727,11 +727,11 @@ def _cremona_image_conics():
     return [cremona_map_curve(line(Q, *abc)) for abc in CREMONA_LINES]
 
 
-def _random_field_points(rng, field):
-    """Four points with coordinates drawn from the whole field, or None when
+def _random_field_points(rng, field, count=4):
+    """count points with coordinates drawn from the whole field, or None when
     two coincide or three are collinear."""
     pts = []
-    while len(pts) < 4:
+    while len(pts) < count:
         coords = tuple(
             field.element([rng.randint(-2, 2) for _ in range(field.degree)])
             for _ in range(3)
@@ -940,7 +940,7 @@ def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
     field = ORACLE_FIELDS["sqrt5"]
     theta = field.generator()
     f = conic(field, 1, 2, 3, 4, 5, theta)
-    assert G.conic_matrix(f) == tuple(
+    assert f._matrix == tuple(
         tuple(field.element(v) if isinstance(v, int) else v for v in row)
         for row in ((2, 4, 5), (4, 4, theta), (5, theta, 6))
     )
@@ -1250,25 +1250,87 @@ def _touching_after_known_points(rng, k):
     return curves, base[0], indices
 
 
+def _conic_through_points(pts):
+    """The conic through five points of any field, no three collinear: the
+    member of the pencil spanned by (P1P2)(P3P4) and (P1P3)(P2P4) that
+    passes through P5."""
+    p1, p2, p3, p4, p5 = pts
+    pairs = [
+        (_line_through(p1, p2), _line_through(p3, p4)),
+        (_line_through(p1, p3), _line_through(p2, p4)),
+    ]
+    (v1, d1), (v2, d2) = (
+        (a.evaluate(p5) * b.evaluate(p5), _line_product_conic(a, b)) for a, b in pairs
+    )
+    return G.PlaneCurve(G.CurveForm.CONIC, tuple(v2 * x - v1 * y for x, y in zip(d1, d2)))
+
+
+def _probed_at_last(rng, kind):
+    """A conic f through A, B, D, then conics through A, B, D and two random
+    points each, then a last conic g = f + s*L1*L2 in no earlier pair.  So when the pair (0, last) is reached, only probing the points
+    found on f can make any of its common points known.  By kind, g touches
+    f at A and passes through B and D ("tangent": L1 the tangent at A, L2
+    the line BD), passes through A and B ("two": L1 = AB), through A
+    ("one": L1 a line through A), or through none of the points found
+    ("none"); L2 is random unless given.  Returns the curves and A, or None
+    when an earlier pair is not transversal or g is degenerate."""
+    on_f = _general_integer_points(rng, 5)
+    a, b, d = (point(Q, *v) for v in on_f[:3])
+    f = conic(Q, *conic_through(on_f))
+    others, count = [], rng.randint(1, 3)
+    while len(others) < count:
+        five = on_f[:3] + [(rng.randint(-9, 9), rng.randint(-9, 9), 1) for _ in range(2)]
+        if any(G.det3(tuple(tuple(Q.element(v) for v in p) for p in trio)).is_zero()
+               for trio in combinations(five, 3)):
+            continue
+        others.append(conic(Q, *conic_through(five)))
+
+    def random_line(through=None):
+        coeffs = [rng.randint(-6, 6) for _ in range(3)]
+        if through is None:
+            return line(Q, *coeffs)
+        return _line_through(through, point(Q, *coeffs[:2], 1))
+
+    try:
+        l1, l2 = {
+            "tangent": lambda: (G.PlaneCurve(G.CurveForm.LINE, f.gradient(a)), _line_through(b, d)),
+            "two": lambda: (_line_through(a, b), random_line()),
+            "one": lambda: (random_line(a), random_line()),
+            "none": lambda: (random_line(), random_line()),
+        }[kind]()
+        s = Q.element(rng.choice([-3, -2, -1, 1, 2, 3]))
+        g = G.PlaneCurve(
+            G.CurveForm.CONIC,
+            tuple(x + s * y for x, y in zip(f.coeffs, _line_product_conic(l1, l2))),
+        )
+        curves = [f, *others, g]
+        GeometricConfiguration(Q, tuple(curves))
+    except (GeometryError, ValueError):  # a zero line, a degenerate g, a repeat
+        return None
+    if any(m > 1 for c in others for _, m in intersect(f, c)):
+        return None
+    return curves, a
+
+
 class TestExtractProfileSkipsKnownPairs:
     """A pair whose Bezout number of distinct common points is already known
     is not intersected, and a conic pair with three of them known is
     completed; profiles and first errors match the all-pairs loop."""
 
-    def test_seven_point_conics_make_32_calls_and_88_completions(
+    def test_seven_point_conics_make_1_call_and_107_completions(
         self, intersect_calls, completions
     ):
         conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
         profile = _assert_matches_all_pairs(conics, intersect_calls)
         assert dict(profile.t) == {2: 72, 3: 11, 15: 7}
-        assert (len(intersect_calls), len(completions)) == (32, 88)
+        assert (len(intersect_calls), len(completions)) == (1, 107)
 
-    def test_cremona_image_conics_make_6_calls_and_9_completions(
+    def test_cremona_image_conics_make_1_call_and_12_completions(
         self, intersect_calls, completions
     ):
         profile = _assert_matches_all_pairs(_cremona_image_conics(), intersect_calls)
         assert dict(profile.t) == {2: 6, 3: 3, 4: 1, 7: 3}
-        assert (len(intersect_calls), len(completions)) == (6, 9)
+        assert (len(intersect_calls), len(completions)) == (1, 12)
 
     def test_first_error_at_a_completed_pair(self, intersect_calls, completions):
         rng = random.Random("touching at a known point")
@@ -1291,16 +1353,28 @@ class TestExtractProfileSkipsKnownPairs:
             done += 1
         assert roles == {"P1/P2", "P3"}
 
-    def test_pencil_makes_k_minus_one_calls(self, intersect_calls):
+    def test_pencil_makes_one_call(self, intersect_calls):
         rng = random.Random(1515)
-        for field, k in [(Q, k) for k in range(2, 8)] + [(ORACLE_FIELDS["sqrt5"], 4)]:
+        nf = [(ORACLE_FIELDS["sqrt5"], 4), (ORACLE_FIELDS["cbrt2"], 3)]
+        for field, k in [(Q, k) for k in range(2, 8)] + nf:
             base = None
             while base is None:
                 base = _random_field_points(rng, field)
             members = _pencil_members(base, k, field)
             profile = _assert_matches_all_pairs(members, intersect_calls, field)
             assert dict(profile.t) == {k: 4}
-            assert len(intersect_calls) == k - 1
+            assert len(intersect_calls) == 1
+
+    def test_sqrt5_six_point_conics_make_one_call(self, intersect_calls):
+        field = ORACLE_FIELDS["sqrt5"]
+        rng = random.Random("six sqrt5 points")
+        pts = None
+        while pts is None or incident(_conic_through_points(pts[:5]), pts[5]):
+            pts = _random_field_points(rng, field, 6)
+        conics = [_conic_through_points(s) for s in combinations(pts, 5)]
+        profile = _assert_matches_all_pairs(conics, intersect_calls, field)
+        assert dict(profile.t) == {5: 6}
+        assert len(intersect_calls) == 1
 
     @pytest.mark.parametrize("n, seed", [(6, 1), (6, 2), (7, 3), (8, 4)])
     def test_conics_through_five_subsets(self, n, seed, intersect_calls):
@@ -1320,6 +1394,53 @@ class TestExtractProfileSkipsKnownPairs:
             images = [cremona_map_curve(l) for l in lines]
             outcomes.add(type(_assert_matches_all_pairs(images, intersect_calls)))
         assert outcomes == {ConfigurationProfile, NonTransversalIntersection}
+
+    def test_first_error_at_a_pair_completed_from_probed_points(
+        self, intersect_calls, completions
+    ):
+        """g touches f at A, and f's earlier pairs found A, B and D: probing
+        makes (0, last) a completion, which raises where intersect would."""
+        rng = random.Random("probed tangent")
+        roles = set()
+        for _ in range(8):
+            made = None
+            while made is None:
+                made = _probed_at_last(rng, "tangent")
+            curves, a = made
+            completions.clear()
+            err = _assert_matches_all_pairs(curves, intersect_calls)
+            assert isinstance(err, NonTransversalIntersection)
+            assert err.pair == (0, len(curves) - 1) and err.point == a
+            assert len(intersect_calls) == 1
+            f, g, known = completions[-1]
+            assert (f, g) == (curves[0], curves[-1])
+            roles.add("P3" if known.index(a) == 2 else "P1/P2")
+        assert roles == {"P1/P2", "P3"}
+
+    @pytest.mark.parametrize("kind, known", [("two", 2), ("one", 1), ("none", 0)])
+    def test_outside_field_after_probing(self, kind, known, intersect_calls):
+        """g meets f in `known` of the points found on f and in points
+        outside Q: probing leaves the pair to intersect, which raises."""
+        rng = random.Random(f"probed outside {kind}")
+        done = 0
+        while done < 3:
+            made = _probed_at_last(rng, kind)
+            if made is None:
+                continue
+            curves, _ = made
+            f, g = curves[0], curves[-1]
+            found_on_f = {p.sort_key(): p for c in curves[1:-1] for p, _ in intersect(f, c)}
+            if sum(incident(g, p) for p in found_on_f.values()) != known:
+                continue
+            try:
+                intersect(f, g)
+                continue
+            except IntersectionOutsideField:
+                pass
+            err = _assert_matches_all_pairs(curves, intersect_calls)
+            assert isinstance(err, IntersectionOutsideField)
+            assert intersect_calls == [(curves[0], curves[1]), (f, g)]
+            done += 1
 
     @pytest.mark.parametrize("tangent", [True, False], ids=["tangent", "outside"])
     def test_first_error_after_skipped_pairs(self, tangent, intersect_calls):

@@ -153,12 +153,14 @@ def test_klein_lines_and_their_cremona_image(klein, monkeypatch):
     assert local_h(profile).h == -3
 
     assert len(singular) == 49
-    # every pair after the first row shares the three base points, so 99
-    # of the 119 pairs left after Bezout skipping are completed
+    # all 21 conics pass through the three base points: once the first pair
+    # has found them, probing finds them on every later conic, so only that
+    # pair is intersected, and the 106 pairs not skipped by Bezout are
+    # completed
     intersect_calls = _counting(monkeypatch, "intersect")
     completions = _counting(monkeypatch, "_complete_pair")
     image = extract_profile(GeometricConfiguration(PHI7, conics))
-    assert (len(intersect_calls), len(completions)) == (20, 99)
+    assert (len(intersect_calls), len(completions)) == (1, 106)
     assert dict(image.t) == {3: 28, 4: 21, 21: 3}
     assert local_h(image).h == F(-147, 52)
 
