@@ -38,7 +38,12 @@ def sweep(kmin: int, kmax: int):
                 CONICS, k, require_tk_zero=True, filters={Filter.LT_QUADRATIC}
             )
         )
-        raw = minimize_h(SearchQuery(CONICS, k, require_tk_zero=True))
+        # lt accepted every t-vector the raw search reads: same minimum
+        raw = (
+            filtered
+            if filtered.filtered_count == filtered.enumerated_count
+            else minimize_h(SearchQuery(CONICS, k, require_tk_zero=True))
+        )
         fmin = filtered.min_h
         assert fmin is None or fmin >= Fraction(-9, 2), "filtered minimum broke -9/2"
         print(

@@ -16,9 +16,11 @@ t-vectors, gives the minimum and both counts exactly.  The last two
 levels close by group: the states that share (3*f0 + rem, f1 + rem)
 have the same finals, so each group visits each t2 once, weighted by
 the suffix sum of its states' counts over rem >= t2.  Only the argmin
-profiles are rebuilt, in enumeration order, and checked one by one.
-The states held across the layers are capped at ``MAX_MOMENT_STATES``;
-a query that needs more is refused with :class:`SearchQueryError`.
+profiles are rebuilt, each traced back from its last-layer state to the
+root, sorted into enumeration order and checked one by one.  The states
+held across the layers are capped at ``MAX_MOMENT_STATES``; a query that
+needs more is refused with :class:`SearchQueryError`, before the number
+of t-vectors is counted independently as the DP's cross-check.
 """
 
 from __future__ import annotations
@@ -147,7 +149,13 @@ def minimize_h(query: SearchQuery) -> SearchResult:
     survived the filters.  The moment-state dynamic program answers
     without building any profile it does not report.
     """
-    return _dp_minimize(query, _count_t_vectors(query))
+    result = _dp_minimize(query)
+    count = _count_t_vectors(query)
+    if result.enumerated_count != count:
+        raise AssertionError(
+            f"moment states hold {result.enumerated_count} t-vectors, not {count}"
+        )
+    return result
 
 
 def _count_t_vectors(query: SearchQuery) -> int:
@@ -176,7 +184,7 @@ def _lt_holds(k: int, f0: int, f1: int, t2: int) -> bool:
     return a * x * x + b * x + c >= 0 and a * (x + 1) ** 2 + b * (x + 1) + c >= 0
 
 
-def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
+def _dp_minimize(query: SearchQuery) -> SearchResult:
     """Answer :func:`minimize_h` from moment states, not from t-vectors.
 
     h = (gamma*k - f1)/f0 and both filters read only moments, so levels
@@ -196,49 +204,35 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
     group is closed once: each t2 from its largest rem down gets one
     verdict and one comparison of h, weighted by the suffix sum of the
     counts of the group's states with rem >= t2.  Finals are streamed
-    into the counts and the argmin set, never stored.  The states that
-    reach an argmin final are marked backwards, through their parents
-    (rem + c*C(r,2), f0 - c, f1 - r*c), and a walk in enumeration order
-    along marked states rebuilds the tied profiles.
+    into the counts and the argmin set, never stored.
+
+    Only (group, t2) is kept of each tie.  Each of its group's states
+    with rem >= t2 closes to it with t3 = (rem - t2)/3, and is traced
+    back to the root through every parent (rem + c*C(r,2), f0 - c,
+    f1 - r*c) with t_r = c that the layer before holds.  Every state a
+    layer holds is reachable from the root, so each path is exactly one
+    tied t-vector; sorting restores enumeration order.
     """
     k = query.k
     budget, r_max = _shape(query)
     gamma_k = query.curve_class.pairwise_intersection * k
     hirz = Filter.HIRZEBRUCH_11 in query.filters
     lt = Filter.LT_QUADRATIC in query.filters
+    too_many = f"search at k={k} needs more than {MAX_MOMENT_STATES} moment states"
+    if r_max - 2 > MAX_MOMENT_STATES:  # every layer holds (budget, 0, 0)
+        raise SearchQueryError(too_many)
     levels = [(r, comb(r, 2)) for r in range(r_max, 3, -1)]
-
-    def children(i, state):
-        """(t_r, child state) at level i, in enumeration order."""
-        r, part = levels[i]
-        rem, f0, f1 = state
-        for c in range(rem // part, -1, -1):
-            yield c, (rem - c * part, f0 + c, f1 + r * c)
-
-    def finals(state):
-        """(t_3, final) closing a state, in enumeration order."""
-        rem, f0, f1 = state
-        for c3 in range(rem // 3 if r_max >= 3 else 0, -1, -1):
-            t2 = rem - 3 * c3
-            yield c3, (
-                f0 + c3 + t2,
-                f1 + 3 * c3 + 2 * t2,
-                4 * f0 - f1 + c3 + t2 if hirz else t2 if lt else 0,
-            )
 
     layers = [{(budget, 0, 0): 1}]
     held = 1
     for r, part in levels:
         nxt: dict = {}
         for (rem, f0, f1), n in layers[-1].items():
-            for c in range(rem // part, -1, -1):  # t_r descending, as in children()
+            for c in range(rem // part, -1, -1):
                 child = rem - c * part, f0 + c, f1 + r * c
                 nxt[child] = nxt.get(child, 0) + n
             if held + len(nxt) > MAX_MOMENT_STATES:
-                raise SearchQueryError(
-                    f"search at k={k} needs more than {MAX_MOMENT_STATES} "
-                    "moment states"
-                )
+                raise SearchQueryError(too_many)
         held += len(nxt)
         layers.append(nxt)
 
@@ -254,7 +248,7 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
 
     enumerated = surviving = 0
     best: tuple[int, int] | None = None  # h as (numerator, f0 > 0)
-    ties: list = []  # (group, t2, final) of every argmin final
+    ties: list = []  # (group, t2) of every argmin final
     for key, top in tops.items():
         g0, g1 = key
         weight = 0  # t-vectors through the group's states with rem >= t2
@@ -269,46 +263,27 @@ def _dp_minimize(query: SearchQuery, count: int) -> SearchResult:
             num = gamma_k - f1
             if best is None or num * best[1] < best[0] * f0:
                 best = num, f0
-                ties = [(key, t2, (f0, f1, s))]
+                ties = [(key, t2)]
             elif num * best[1] == best[0] * f0:
-                ties.append((key, t2, (f0, f1, s)))
-    if enumerated != count:
-        raise AssertionError(f"moment states hold {enumerated} t-vectors, not {count}")
+                ties.append((key, t2))
 
-    argmin_finals = {final for _, _, final in ties}
-    reaching = {  # the states of the last layer with an argmin final
-        state
-        for (g0, g1), t2, _ in ties
+    paths = [  # (state, t3 and t2) of every last-layer state with a tied final
+        (state, {3: (rem - t2) // 3, 2: t2})
+        for (g0, g1), t2 in ties
         for rem in range(tops[g0, g1], t2 - 1, -step)
         if (state := (rem, (g0 - rem) // 3, g1 - rem)) in last
-    }
-
-    marks = [reaching]
-    for i in range(len(levels) - 1, -1, -1):
-        r, part = levels[i]
-        marks.insert(0, {
-            parent
-            for rem, f0, f1 in marks[0]
+    ]
+    for (r, part), layer in zip(reversed(levels), reversed(layers[:-1])):
+        paths = [
+            (parent, {**t, r: c})
+            for (rem, f0, f1), t in paths
             for c in range(f0 + 1)
-            if (parent := (rem + c * part, f0 - c, f1 - r * c)) in layers[i]
-        })
-
-    argmins: list[ConfigurationProfile] = []
-
-    def descend(i, state, t):
-        if i < len(levels):
-            for c, child in children(i, state):
-                if child in marks[i + 1]:
-                    descend(i + 1, child, {**t, levels[i][0]: c} if c else t)
-            return
-        for c3, final in finals(state):
-            if final in argmin_finals:
-                t2 = state[0] - 3 * c3
-                argmins.append(
-                    ConfigurationProfile(query.curve_class, k, {**t, 3: c3, 2: t2})
-                )
-
-    descend(0, (budget, 0, 0), {})
+            if (parent := (rem + c * part, f0 - c, f1 - r * c)) in layer
+        ]
+    argmins = sorted(
+        (ConfigurationProfile(query.curve_class, k, t) for _, t in paths),
+        key=lambda p: [-p.t_of(r) for r in range(r_max, 2, -1)],
+    )
     min_h = None if best is None else Fraction(*best)
     for profile in argmins:
         if not (

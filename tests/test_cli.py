@@ -482,6 +482,33 @@ def test_search_moment_state_cap(monkeypatch, capsys):
     assert err == f"error: search at k=8 needs more than {held - 1} moment states\n"
 
 
+def test_search_refuses_before_counting(monkeypatch, capsys):
+    def count(query):
+        raise AssertionError("counted before the moment states were capped")
+
+    held = line_k8_moment_states()
+    monkeypatch.setattr(search, "MAX_MOMENT_STATES", held - 1)
+    monkeypatch.setattr(search, "_count_t_vectors", count)
+    argv = ["search", "--class", "line-p2", "--k", "8", "--machine"]
+    assert cli.main(argv) == cli.EXIT_COMPUTATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: search at k=8 needs more than {held - 1} moment states\n"
+
+
+def test_search_refuses_more_layers_than_the_cap_at_once():
+    # every layer holds the root state, so k - 2 layers of lines need more
+    # than the real cap before any layer is built or anything is counted
+    k = 20_000_000
+    assert k - 2 > search.MAX_MOMENT_STATES
+    r = run_cli(["search", "--class", "line-p2", "--k", str(k)], timeout=2)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        f"error: search at k={k} needs more than {search.MAX_MOMENT_STATES} "
+        "moment states\n"
+    )
+
+
 def test_search_has_no_limit_option():
     r = run_cli(["search", "--help"])
     assert r.returncode == 0 and "--limit" not in r.stdout

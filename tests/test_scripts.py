@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from harbourne import search
 from harbourne.profiles import CONICS
 from harbourne.search import Filter, SearchQuery, minimize_h
 
@@ -32,6 +33,34 @@ def test_negativity_sweep_rows_match_minimize_h(capsys):
         assert int(cells[1]) == lt.enumerated_count
         assert Fraction(cells[2]) == lt.min_h
         assert Fraction(cells[4]) == raw.min_h
+
+
+def test_negativity_sweep_searches_raw_where_lt_rejects(monkeypatch, capsys):
+    # the real lt first rejects a t-vector at k = 18; this predicate rejects
+    # from k = 3 on, so the sweep cannot reuse its lt result as the raw one
+    def holds(k, f0, f1, t2):
+        return (f0 + f1 + t2) % 4 != 0
+
+    monkeypatch.setattr(search, "_lt_holds", holds)
+    sweep = load_script("negativity_sweep")
+    queries = []
+
+    def minimize(query):
+        queries.append(query)
+        return minimize_h(query)
+
+    monkeypatch.setattr(sweep, "minimize_h", minimize)
+    assert sweep.main(["--kmin", "3", "--kmax", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [q.filters for q in queries] == [{Filter.LT_QUADRATIC}, set()] * 6
+    for k, row in zip(range(3, 9), rows, strict=True):
+        lt = minimize_h(SearchQuery(CONICS, k, True, {Filter.LT_QUADRATIC}))
+        raw = minimize_h(SearchQuery(CONICS, k, True))
+        assert lt.filtered_count < lt.enumerated_count
+        assert row == (
+            f"{k:>3}  {lt.enumerated_count:>9}  "
+            f"{sweep._column(lt, 22)}  {sweep._column(raw, 16)}"
+        )
 
 
 def test_cremona_iteration_prints_the_telescoped_trajectory(capsys):
