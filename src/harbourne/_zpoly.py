@@ -1,8 +1,10 @@
 """Integer polynomials: factoring over Z and norms down to Z[x].
 
-Only the number-field code imports this module, and lazily, so the
-rational paths never load it.  Polynomials are lists of coefficients,
-low to high.
+:mod:`harbourne.exactfield` imports this module lazily, to check that a
+field's min_poly is irreducible and to find roots of degree 2 and up,
+over Q and over number fields alike; Q arithmetic and linear
+polynomials never load it.  Polynomials are lists of coefficients, low
+to high.
 
 Factoring over Z is the Zassenhaus algorithm (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 14-15).  It works at the first
@@ -31,15 +33,15 @@ divides exactly; there is no Fraction-level wrapper.
 from __future__ import annotations
 
 from itertools import combinations
+from math import isqrt
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactfield import (
     RATIONALS,
     _bareiss,
     _content_free,
     _mult_matrix,
-    _primes,
     kx_derivative,
     kx_gcd,
 )
@@ -180,6 +182,14 @@ def _equal_degree(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
         if 1 < len(g) < len(f):
             rest = _divmod(f, g, p)[0]
             return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
+
+
+def _primes() -> Iterable[int]:
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
 
 
 def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]] | None:

@@ -23,32 +23,31 @@ with a single irreducible factor over Z.
 
 Root extraction for univariate polynomials over the field is one skeleton
 for every field, :func:`roots_in_field`.  A linear polynomial is answered
-directly, and so is a quadratic over Q, by its discriminant.  Any other f
-goes through one square-free chain c0 = monic f, c(i+1) = gcd(c(i),
-c(i)'): c0 / c1 is the square-free part of f, and a root of f has
-multiplicity 1 + the number of c1, c2, ... it is a root of, so a
-square-free f (the transversal case) needs no further work.  Only the
-distinct roots of the square-free part are found per field.  Over Q they
-come from a p-adic lift: roots modulo a small prime are Newton-lifted to a
-power of it and turned back into fractions by rational reconstruction, in
-time polynomial in the bit size of the coefficients (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 15).  Over a number field it is a
-norm/shift argument (Trager 1976): shift x by integer multiples of theta
-until the norm (a resultant down to Q[x]) is square-free, factor the norm
-over Z, and read off the in-field roots as the linear gcds.  That argument
-needs its input square-free, which the chain guarantees: for a
-polynomial with a repeated root no shift works, and the search stops with
-an ``AssertionError`` after the C(deg f * d, 2) + 1 shifts that suffice
-for a square-free one.  The integer polynomial work (norms, factoring
-with its square-free test) lives in :mod:`harbourne._zpoly`, imported
-only by the number-field paths; everything in K[x] is done here.
+directly.  Any other f goes through one square-free chain c0 = monic f,
+c(i+1) = gcd(c(i), c(i)'): c0 / c1 is the square-free part of f, and a
+root of f has multiplicity 1 + the number of c1, c2, ... it is a root
+of, so a square-free f (the transversal case) needs no further work.
+Only the distinct roots of the square-free part are found per field, and
+both fields read them off one factorizer over Z (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 14-15).  Over Q they are the
+linear factors of the square-free part itself.  Over a number field it
+is a norm/shift argument (Trager 1976): shift x by integer multiples of
+theta until the norm (a resultant down to Q[x]) is square-free, factor
+the norm over Z, and read off the in-field roots as the linear gcds.
+That argument needs its input square-free, which the chain guarantees:
+for a polynomial with a repeated root no shift works, and the search
+stops with an ``AssertionError`` after the C(deg f * d, 2) + 1 shifts
+that suffice for a square-free one.  The integer polynomial work (norms,
+factoring with its square-free test) lives in :mod:`harbourne._zpoly`,
+imported lazily by the field check and the root paths of degree 2 and
+up; everything in K[x] is done here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .profiles import HarbourneError
@@ -532,8 +531,6 @@ def roots_in_field(
         return []
     if len(poly) == 2:
         return [(-poly[0] / poly[1], 1)]
-    if field.is_rational and len(poly) == 3:
-        return [(field.element(r), m) for r, m in _quadratic_roots(_integers(poly))]
     # c0 = monic f, c(i+1) = gcd(c(i), c(i)'); a root of f lies on exactly
     # multiplicity - 1 of c1, c2, ..., and c0 / c1 is the square-free part
     chain = [kx_monic(poly)]
@@ -558,65 +555,19 @@ def _rational_roots(ints: Sequence[int]) -> list[Rat]:
     positive degree and content 1: 0 first, then by (|numerator|,
     denominator), a positive root before its negative.
 
-    Past the root 0, every rational root of f = a_n x^n + ... + a_0 is some
-    a/b with a | a_0 and b | a_n.  Modulo the smallest prime p that does
-    not divide a_n and at which every root of f is simple, each rational
-    root is one of those roots mod p.  Newton iteration lifts each to a
-    root mod M = p^(2^j) > 2|a_0||a_n|, where a/b is the only fraction with
-    |a| <= |a_0| and 0 < b <= |a_n| congruent to it, recovered by the
-    half-extended Euclidean algorithm.  Each candidate is kept only if
-    f(a/b) = 0 exactly, so the cost is polynomial in the bit size of the
-    coefficients.
+    They are -g0/g1 for the linear factors g0 + g1 x of the polynomial
+    over Z (:func:`harbourne._zpoly.factor_squarefree`).
     """
-    roots: list[Rat] = []
-    if not ints[0]:
-        roots.append(Rat(0))
-        ints = ints[1:]
-    if len(ints) == 1:
-        return roots
-    deriv = [c * i for i, c in enumerate(ints)][1:]
-    a_max, b_max = abs(ints[0]), abs(ints[-1])
+    from ._zpoly import factor_squarefree
 
-    for p in _primes():
-        if b_max % p == 0:
-            continue
-        residues = [r for r in range(p) if _eval_mod(ints, r, p) == 0]
-        if all(_eval_mod(deriv, r, p) for r in residues):
-            break
-
-    found = []
-    for r in residues:
-        m = p
-        while m <= 2 * a_max * b_max:
-            m *= m
-            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
-        # half-extended Euclid on (m, r), stopped at the first remainder <= a_max
-        r0, r1, t0, t1 = m, r, 0, 1
-        while r1 > a_max:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 and abs(t1) <= b_max and _eval_homogeneous(ints, r1, t1) == 0:
-            found.append(Rat(r1, t1))
-    found.sort(key=_root_order)
-    return roots + found
+    return sorted(
+        (Rat(-g[0], g[1]) for g in factor_squarefree(ints) if len(g) == 2),
+        key=_root_order,
+    )
 
 
 def _root_order(c: Rat) -> tuple:
     return abs(c.numerator), c.denominator, c < 0
-
-
-def _quadratic_roots(ints: Sequence[int]) -> list[tuple[Rat, int]]:
-    """Rational roots with multiplicities of an integer quadratic
-    [c, b, a], in :func:`_rational_roots` order."""
-    c, b, a = ints
-    disc = b * b - 4 * a * c
-    root = isqrt(disc) if disc >= 0 else -1
-    if root * root != disc:
-        return []
-    if not root:
-        return [(Rat(-b, 2 * a), 2)]
-    pair = sorted((Rat(-b + root, 2 * a), Rat(-b - root, 2 * a)), key=_root_order)
-    return [(r, 1) for r in pair]
 
 
 def _integers(poly: Sequence[FieldElement]) -> list[int]:
@@ -636,30 +587,6 @@ def _content_free(ints: Sequence[int]) -> list[int]:
     """A nonzero integer polynomial divided by its content."""
     content = gcd(*ints)
     return [c // content for c in ints]
-
-
-def _primes() -> Iterable[int]:
-    p = 2
-    while True:
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            yield p
-        p += 1
-
-
-def _eval_mod(ints: Sequence[int], r: int, m: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = (acc * r + c) % m
-    return acc
-
-
-def _eval_homogeneous(ints: Sequence[int], a: int, b: int) -> int:
-    """sum c_i a^i b^(n-i): zero exactly when a/b is a root."""
-    acc, b_pow = ints[-1], 1
-    for c in reversed(ints[:-1]):
-        b_pow *= b
-        acc = acc * a + c * b_pow
-    return acc
 
 
 def _number_field_roots(

@@ -31,7 +31,7 @@ first tests the second conic at the points found on the first.  Then a
 pair with as many known distinct common points as its Bezout number is
 skipped, and a conic pair with three of them is completed linearly from
 the pencil member through them that splits.  Each conic keeps its
-matrix S, adj S and det S from construction.
+matrix S from construction.
 """
 
 from __future__ import annotations
@@ -165,10 +165,8 @@ class PlaneCurve:
 
     form: CurveForm
     coeffs: tuple[FieldElement, ...]
-    # a conic's doubled matrix S, its adjugate and det S, computed once
+    # a conic's doubled matrix S, computed once
     _matrix: Mat3 | None = dc_field(default=None, init=False, compare=False, repr=False)
-    _adjugate: Mat3 | None = dc_field(default=None, init=False, compare=False, repr=False)
-    _det: FieldElement | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = 3 if self.form is CurveForm.LINE else 6
@@ -182,16 +180,12 @@ class PlaneCurve:
         if self.form is CurveForm.CONIC:
             a, b, c, d, e, f = self.coeffs
             s = ((a + a, d, e), (d, b + b, f), (e, f, c + c))
-            adj = adjugate3(s)
-            det = s[0][0] * adj[0][0] + s[0][1] * adj[1][0] + s[0][2] * adj[2][0]
-            if det.is_zero():
+            if det3(s).is_zero():
                 raise GeometryError(
                     "conic is degenerate (zero determinant), hence reducible; "
                     "only irreducible conics are supported"
                 )
             object.__setattr__(self, "_matrix", s)
-            object.__setattr__(self, "_adjugate", adj)
-            object.__setattr__(self, "_det", det)
 
     @property
     def field(self) -> ExactField:
@@ -457,7 +451,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
 
     # det(lam*Sf + mu*Sg) = lam^3 det Sf + lam^2 mu tr(adj Sf Sg)
     #                       + lam mu^2 tr(Sf adj Sg) + mu^3 det Sg
-    cubic = [g._det, trace(g._adjugate, sf), trace(f._adjugate, sg), f._det]
+    cubic = [det3(sg), trace(adjugate3(sg), sf), trace(adjugate3(sf), sg), det3(sf)]
     roots, _ = binary_form_roots(cubic, field)
     members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
     lines = next((ls for ls in members if ls is not None), None)

@@ -372,12 +372,37 @@ class TestRationalRootsOracle:
             poly = _qmul(poly, [-root, F(1)])
         assert _rational_roots(_primitive(poly)) == [F(0), F(1, 2), F(-1, 2), F(2), F(-3)]
 
-    def test_large_coefficients(self):
+    def test_large_coefficients(self, monkeypatch):
         # roots whose numerators and denominators have 25 digits
         big = F(10**24 + 7, 10**24 + 9)
         poly = _qmul([-big, F(1)], [big, F(1)])  # x^2 - big^2
         assert _rational_roots(_primitive(poly)) == [big, -big]
         assert _rational_roots([-(10**24 + 7), 0, 1]) == []
+        # (x - 3)(x^2 + 1)(x^2 + 7)(x^2 + 127): square-free over Q, but not
+        # mod 3, 5 or 7, so only the exact test can say so
+        exact = []
+        euclid = _zpoly._squarefree
+        monkeypatch.setattr(
+            _zpoly, "_squarefree", lambda f: exact.append(f) or euclid(f)
+        )
+        poly = _qmul([F(-3), F(1)], [F(c) for c in (889, 0, 1023, 0, 135, 0, 1)])
+        assert _rational_roots(_primitive(poly)) == [F(3)] and len(exact) == 1
+
+    def test_one_factorization_per_root_call(self, monkeypatch):
+        calls = []
+        factor = _zpoly.factor_squarefree
+        monkeypatch.setattr(
+            _zpoly, "factor_squarefree", lambda f: calls.append(f) or factor(f)
+        )
+
+        def roots(*coeffs):
+            poly = [RATIONALS.element(c) for c in coeffs]
+            return [(r.as_rational(), m) for r, m in roots_in_field(poly, RATIONALS)]
+
+        assert roots(F(-3, 4), 2) == [(F(3, 8), 1)] and calls == []
+        assert roots(-6, 1, 1) == [(F(2), 1), (F(-3), 1)] and len(calls) == 1
+        # x^3 - x^2 - x - 2 = (x - 2)(x^2 + x + 1)
+        assert roots(-2, -1, -1, 1) == [(F(2), 1)] and len(calls) == 2
 
     @given(
         st.dictionaries(
