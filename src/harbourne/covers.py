@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -50,7 +51,12 @@ def _combine(a: Mapping[str, Fraction], b: Mapping[str, Fraction], sign: int):
 
 @dataclass(frozen=True)
 class FormalExpr:
-    """Polynomial in the cover order n over the symbol basis above."""
+    """Polynomial in the cover order n over the symbol basis above.
+
+    Besides ``terms`` it keeps the same coefficients as one integer form:
+    the least common denominator of all of them and, per power of n, the
+    pairs (symbol, numerator over that denominator) that ``evaluate`` sums.
+    """
 
     terms: Mapping[int, LinComb]
 
@@ -63,6 +69,13 @@ class FormalExpr:
             if lc:
                 cleaned[npow] = MappingProxyType(lc)
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        den = lcm(*(c.denominator for lc in cleaned.values() for c in lc.values()))
+        numerators = tuple(
+            (p, tuple((sym, int(c * den)) for sym, c in lc.items()))
+            for p, lc in cleaned.items()
+        )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_numerators", numerators)
 
     @staticmethod
     def from_constant(comb_: Mapping[str, Fraction | int]) -> "FormalExpr":
@@ -127,17 +140,17 @@ class FormalExpr:
     ) -> Fraction:
         """Numeric value at the given symbol values (and n if degree > 0).
 
-        The values multiply the Fraction coefficients as given, so integer
-        values are never rebuilt as Fractions."""
+        The values multiply the integer numerators of the coefficients, and
+        the total becomes one Fraction over their common denominator."""
         vals = {**values, "1": 1}
         if "k" in vals:
             vals.setdefault("k2", vals["k"] ** 2)
-        total = Fraction(0)
-        for p, lc in self.terms.items():
+        total = 0
+        for p, nums in self._numerators:
             if p and n is None:
                 raise ValueError("expression depends on n; pass n explicitly")
-            total += (n**p if p else 1) * sum(coeff * vals[sym] for sym, coeff in lc.items())
-        return total
+            total += (n**p if p else 1) * sum(num * vals[sym] for sym, num in nums)
+        return Fraction(total, self._den)
 
     def degree(self) -> int:
         return max(self.terms, default=0)

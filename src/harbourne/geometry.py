@@ -352,11 +352,14 @@ def intersect(c1: PlaneCurve, c2: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     """
     if c1.field != c2.field:
         raise GeometryError("curves live over different fields")
+    if c1.form is CurveForm.LINE and c2.form is CurveForm.LINE:
+        # two lines are proportional exactly when their cross product is zero
+        coords = cross(c1.coeffs, c2.coeffs)
+        if all(x.is_zero() for x in coords):
+            raise GeometryError("curves must not be proportional")
+        return [(ProjPoint(coords), 1)]
     if proportional(c1, c2):
         raise GeometryError("curves must not be proportional")
-    if c1.form is CurveForm.LINE and c2.form is CurveForm.LINE:
-        pt = ProjPoint(cross(c1.coeffs, c2.coeffs))
-        return [(pt, 1)]
     if c1.form is CurveForm.CONIC and c2.form is CurveForm.CONIC:
         return _conic_conic(c1, c2)
     l, q = (c1, c2) if c1.form is CurveForm.LINE else (c2, c1)

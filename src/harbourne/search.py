@@ -18,9 +18,10 @@ have the same finals, so each group visits each t2 once, weighted by
 the suffix sum of its states' counts over rem >= t2.  Only the argmin
 profiles are rebuilt, each traced back from its last-layer state to the
 root, sorted into enumeration order and checked one by one.  The states
-held across the layers are capped at ``MAX_MOMENT_STATES``; a query that
-needs more is refused with :class:`SearchQueryError`, before the number
-of t-vectors is counted independently as the DP's cross-check.
+held across the layers are capped at ``MAX_MOMENT_STATES``, and so is
+budget + 1, the values of rem that the close and the count walk; a query
+that needs more is refused with :class:`SearchQueryError`, before the
+number of t-vectors is counted independently as the DP's cross-check.
 """
 
 from __future__ import annotations
@@ -219,7 +220,11 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
     hirz = Filter.HIRZEBRUCH_11 in query.filters
     lt = Filter.LT_QUADRATIC in query.filters
     too_many = f"search at k={k} needs more than {MAX_MOMENT_STATES} moment states"
-    if r_max - 2 > MAX_MOMENT_STATES:  # every layer holds (budget, 0, 0)
+    # The close and the count walk up to budget + 1 values of rem, so the
+    # budget is capped like the states.  Every layer holds (budget, 0, 0),
+    # and budget + 1 > k - 2 >= the number of layers, so this also refuses
+    # a query with more layers than the cap before any layer is built.
+    if budget + 1 > MAX_MOMENT_STATES:
         raise SearchQueryError(too_many)
     levels = [(r, comb(r, 2)) for r in range(r_max, 3, -1)]
 

@@ -509,6 +509,37 @@ def test_search_refuses_more_layers_than_the_cap_at_once():
     )
 
 
+def test_search_refuses_a_budget_past_the_cap_at_once():
+    # at k = 3 no layer is built, but the close and the count would walk
+    # budget + 1 = 3 * 10000**2 + 1 values of the remaining budget
+    assert 3 * 10_000**2 + 1 > search.MAX_MOMENT_STATES
+    argv = ["search", "--class", "plane-curve-p2:10000", "--k", "3"]
+    r = run_cli(argv, timeout=5)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        f"error: search at k=3 needs more than {search.MAX_MOMENT_STATES} "
+        "moment states\n"
+    )
+
+
+def test_search_budget_cap_boundary(monkeypatch, capsys):
+    def count(query):
+        raise AssertionError("counted before the budget was capped")
+
+    argv = ["search", "--class", "conic-p2", "--k", "3", "--machine"]
+    monkeypatch.setattr(search, "MAX_MOMENT_STATES", 13)  # budget 4 * 3 = 12
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out)["enumerated_count"] == 5 and not err
+
+    monkeypatch.setattr(search, "MAX_MOMENT_STATES", 12)
+    monkeypatch.setattr(search, "_count_t_vectors", count)
+    assert cli.main(argv) == cli.EXIT_COMPUTATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: search at k=3 needs more than 12 moment states\n"
+
+
 def test_search_has_no_limit_option():
     r = run_cli(["search", "--help"])
     assert r.returncode == 0 and "--limit" not in r.stdout

@@ -217,6 +217,92 @@ class TestFormalExpr:
         assert reduced.evaluate(vals) == expr.evaluate(vals) == 25
 
 
+
+def _reference_value(expr, values, n=None):
+    """sum_p n^p sum_sym coeff * value, term by term over Fractions."""
+    vals = {**values, "1": 1}
+    if "k" in vals:
+        vals.setdefault("k2", vals["k"] ** 2)
+    total = F(0)
+    for p, lc in expr.terms.items():
+        inner = sum((c * F(vals[sym]) for sym, c in lc.items()), F(0))
+        total += F(n if p else 1) ** p * inner
+    return total
+
+
+SIXTHS = covers.euler_expr().scale(F(1, 6))
+MIXED = covers.euler_expr().scale(F(1, 2)) - covers.canonical_square_expr().scale(
+    F(1, 3)
+)
+HALVES = covers.FormalExpr(  # the k2 rewrite brings in S2/2 and -S1/2
+    {0: {"k2": F(1)}, 1: {"k2": F(3), "S0": F(1)}}
+).reduce_common_point_identity()
+
+
+class TestIntegerForm:
+    """evaluate sums integer numerators over one common denominator."""
+
+    def test_fixtures_have_the_denominators(self):
+        def dens(expr):
+            return {c.denominator for lc in expr.terms.values() for c in lc.values()}
+
+        assert dens(SIXTHS) == {3, 6} and dens(MIXED) == {1, 2, 3, 6}
+        assert dens(HALVES) == {1, 2} and "k2" not in HALVES.coefficient(1)
+
+    @pytest.mark.parametrize(
+        "expr", [SIXTHS, MIXED, HALVES], ids=["sixths", "mixed", "halves"]
+    )
+    def test_matches_the_reference_sum(self, expr):
+        rng = random.Random(80521)
+        for _ in range(50):
+            k = rng.randint(3, 30)
+            t = {r: rng.randint(0, 9) for r in rng.sample(range(2, 13), 4)}
+            vals = covers.symbol_values(k, t)
+            for n in (2, 3, 7):
+                value = expr.evaluate(vals, n=n)
+                assert type(value) is Fraction
+                assert value == _reference_value(expr, vals, n)
+
+    def test_fraction_values(self):
+        vals = {"k": F(7, 2), "t2": F(1, 3), "S0": F(5), "S1": F(-2, 9), "S2": F(4, 5)}
+        for expr in (SIXTHS, MIXED, HALVES, covers.miyaoka_yau_margin(3)):
+            value = expr.evaluate(vals, n=4)
+            assert type(value) is Fraction
+            assert value == _reference_value(expr, vals, 4)
+        vals["k2"] = F(1, 7)  # given explicitly, not taken as k^2
+        assert MIXED.evaluate(vals, n=3) == _reference_value(MIXED, vals, 3)
+
+    def test_degree_zero_needs_no_n(self):
+        vals = covers.symbol_values(6, {5: 1, 2: 20})
+        margin = covers.unreduced_margin(3).scale(F(1, 6))
+        value = margin.evaluate(vals)
+        assert type(value) is Fraction and value == _reference_value(margin, vals)
+        with pytest.raises(ValueError, match="pass n explicitly"):
+            SIXTHS.evaluate(vals)
+
+    def test_empty_expression(self):
+        empty = covers.FormalExpr({})
+        assert empty == covers.FormalExpr({0: {"k": F(0)}})
+        for value in (empty.evaluate({}), empty.evaluate({"k": 4}, n=3)):
+            assert type(value) is Fraction and value == 0
+
+    def test_one_fraction_per_call(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        vals = covers.symbol_values(6, {5: 1, 2: 20})
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert F(1, 2) + F(1, 3) == F(5, 6) and built  # the hook sees arithmetic
+        for expr, n in ((covers.miyaoka_yau_margin(3), None), (MIXED, 5)):
+            built.clear()
+            expr.evaluate(vals, n=n)
+            assert len(built) == 1
+
+
 class TestMarginCache:
     def test_bad_order_raises_on_every_call(self):
         covers.unreduced_margin.cache_clear()

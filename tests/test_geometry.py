@@ -222,6 +222,18 @@ class TestIntersect:
         with pytest.raises(GeometryError):
             intersect(line(Q, 1, 0, 0), line(GAUSS, 0, 1, 0))
 
+    def test_line_pair_takes_its_minors_off_the_cross_product(self, monkeypatch):
+        calls = _counted(monkeypatch, "proportional")
+        assert intersect(line(Q, 1, 2, 3), line(Q, 1, 2, 4)) == [(point(Q, 2, -1, 0), 1)]
+        for field in (Q, GAUSS):
+            with pytest.raises(GeometryError, match="^curves must not be proportional$"):
+                intersect(line(field, 1, 2, 3), line(field, 2, 4, 6))
+        with pytest.raises(GeometryError, match="^curves live over different fields$"):
+            intersect(line(Q, 1, 2, 3), line(GAUSS, 1, 2, 3))
+        assert calls == []
+        assert len(intersect(line(Q, 1, -1, 0), CIRCLE2)) == 2
+        assert calls == [False]  # other pairs still ask proportional
+
 
 class TestTransversal:
     def test_fixture_gradients(self):
