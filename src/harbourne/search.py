@@ -14,13 +14,14 @@ reads (k, f0, f1, t2) and hirz11 reads t2, t3 and sum_{r>=5} (r-4) t_r,
 so a dynamic program over moment states, each weighted by its number of
 t-vectors, gives the minimum and both counts exactly.  The last two
 levels close by group: the states that share (3*f0 + rem, f1 + rem)
-have the same finals, so each group visits each t2 once, weighted by
+have the same finals.  A group on whose t2 range the filter gives one
+verdict closes in one step; any other visits each t2 once, weighted by
 the suffix sum of its states' counts over rem >= t2.  Only the argmin
 profiles are rebuilt, each traced back from its last-layer state to the
 root, sorted into enumeration order and checked one by one.  The states
 held across the layers are capped at ``MAX_MOMENT_STATES``, and so is
-budget + 1, the values of rem that the close and the count walk; a query
-that needs more is refused with :class:`SearchQueryError`, before the
+budget + 1, the most values of rem that the close or the count walks; a
+query that needs more is refused with :class:`SearchQueryError`, before the
 number of t-vectors is counted independently as the DP's cross-check.
 """
 
@@ -185,6 +186,22 @@ def _lt_holds(k: int, f0: int, f1: int, t2: int) -> bool:
     return a * x * x + b * x + c >= 0 and a * (x + 1) ** 2 + b * (x + 1) + c >= 0
 
 
+def _lt_everywhere(k: int, g0: int, g1: int, lo: int, top: int) -> bool:
+    """True if lt holds at every t2 = lo, lo + 3, ..., top of group (g0, g1).
+
+    The discriminant b^2 - 4ac of ``positivity_quadratic`` is a quadratic
+    in t2 with leading coefficient 4, so it is at most 0 on the whole
+    range when it is at both ends; with a > 0 the quadratic is then >= 0
+    at every real x.  False means only that this test decides nothing.
+    """
+    for t2 in (lo, top):
+        f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
+        a, b, c = 2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2)
+        if b * b > 4 * a * c:
+            return False
+    return True
+
+
 def _dp_minimize(query: SearchQuery) -> SearchResult:
     """Answer :func:`minimize_h` from moment states, not from t-vectors.
 
@@ -202,10 +219,17 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
     and s = t2 for lt, 4*F0 - F1 - t2 for hirz11.  They depend on the
     state only through its group (3*f0 + rem, f1 + rem), which fixes
     rem mod 3, and the states of one group differ only in rem.  So each
-    group is closed once: each t2 from its largest rem down gets one
-    verdict and one comparison of h, weighted by the suffix sum of the
-    counts of the group's states with rem >= t2.  Finals are streamed
-    into the counts and the argmin set, never stored.
+    group is closed once, over t2 = lo, lo + 3, ..., top, with top its
+    largest rem and lo = top mod 3.  Usually the filter gives one verdict
+    over that whole range: hirz11's s rises with t2, so its verdicts at
+    lo and top decide the group when they agree, and
+    :func:`_lt_everywhere` certifies lt.  Such a group adds the number of
+    finals of its states, sum n*(rem//3 + 1), to the counts at once, and
+    h = 3*(gamma*k - g1 - t2)/(g0 + 2*t2), monotone in t2, offers only
+    t2 = top or lo to the argmin set, or every t2 where it is constant.
+    Any other group walks its t2 from top down, each with one verdict and
+    one comparison of h, weighted by the suffix sum of the counts of the
+    group's states with rem >= t2.  Finals are never stored.
 
     Only (group, t2) is kept of each tie.  Each of its group's states
     with rem >= t2 closes to it with t3 = (rem - t2)/3, and is traced
@@ -244,28 +268,49 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
     # Levels 3 and 2, by group (see the docstring).  The state of group
     # (g0, g1) with a given rem is (rem, (g0 - rem)/3, g1 - rem).
     last = layers[-1]
+    step = 3 if r_max >= 3 else budget + 1  # with no level 3, t2 = rem
     tops: dict = {}  # group -> the largest rem of its states
-    for rem, f0, f1 in last:
+    finals: dict = {}  # group -> the t-vectors its states close to
+    for (rem, f0, f1), n in last.items():
         key = 3 * f0 + rem, f1 + rem
         if tops.get(key, -1) < rem:
             tops[key] = rem
-    step = 3 if r_max >= 3 else budget + 1  # with no level 3, t2 = rem
+        finals[key] = finals.get(key, 0) + n * (rem // step + 1)
 
     enumerated = surviving = 0
     best: tuple[int, int] | None = None  # h as (numerator, f0 > 0)
     ties: list = []  # (group, t2) of every argmin final
     for key, top in tops.items():
         g0, g1 = key
-        weight = 0  # t-vectors through the group's states with rem >= t2
-        for t2 in range(top, -1, -step):
-            weight += last.get((t2, (g0 - t2) // 3, g1 - t2), 0)
-            enumerated += weight
-            f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
-            s = 4 * f0 - f1 - t2 if hirz else t2 if lt else 0
-            if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, f0, f1, s):
+        lo = top % step
+        if hirz:  # s = 4*f0 - f1 - t2 = (4*g0 + 2*t2)/3 - g1 rises with t2
+            at_lo, at_top = (
+                9 + k + (4 * g0 + 2 * t2) // 3 - g1 >= 0 for t2 in (lo, top)
+            )
+            uniform = at_lo if at_lo == at_top else None
+        else:
+            uniform = True if not lt or _lt_everywhere(k, g0, g1, lo, top) else None
+        if uniform is not None:
+            enumerated += finals[key]
+            if not uniform:
                 continue
-            surviving += weight
-            num = gamma_k - f1
+            surviving += finals[key]
+            slope = g0 + 2 * (gamma_k - g1)  # h falls with t2 where > 0
+            t2s = [top] if slope > 0 else [lo] if slope < 0 else range(top, -1, -step)
+        else:
+            t2s = []
+            weight = 0  # t-vectors through the group's states with rem >= t2
+            for t2 in range(top, -1, -step):
+                weight += last.get((t2, (g0 - t2) // 3, g1 - t2), 0)
+                enumerated += weight
+                f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
+                s = 4 * f0 - f1 - t2 if hirz else t2
+                if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, f0, f1, s):
+                    continue
+                surviving += weight
+                t2s.append(t2)
+        for t2 in t2s:
+            f0, num = (g0 + 2 * t2) // 3, gamma_k - g1 - t2
             if best is None or num * best[1] < best[0] * f0:
                 best = num, f0
                 ties = [(key, t2)]

@@ -42,6 +42,7 @@ def test_negativity_sweep_searches_raw_where_lt_rejects(monkeypatch, capsys):
         return (f0 + f1 + t2) % 4 != 0
 
     monkeypatch.setattr(search, "_lt_holds", holds)
+    monkeypatch.setattr(search, "_lt_everywhere", lambda *group: False)
     sweep = load_script("negativity_sweep")
     queries = []
 

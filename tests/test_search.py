@@ -311,14 +311,11 @@ class TestMomentStateSearch:
         assert verdicts == {True, False}
 
 
-def per_state_close(query: SearchQuery):
-    """(enumerated, filtered, min h, argmin finals) of the moment-state DP
-    with levels 3 and 2 closed state by state: every last-layer state
-    (rem, f0, f1) walks every t_3 from rem // 3 down to 0."""
+def last_layer(query: SearchQuery) -> dict:
+    """The moment states (rem, f0, f1) left after levels r_max..4, each
+    with its number of t-vectors."""
     k, gamma = query.k, query.curve_class.pairwise_intersection
     budget, r_max = gamma * comb(k, 2), k - 1 if query.require_tk_zero else k
-    hirz = Filter.HIRZEBRUCH_11 in query.filters
-    lt = Filter.LT_QUADRATIC in query.filters
     layer = {(budget, 0, 0): 1}
     for r in range(r_max, 3, -1):
         part, nxt = comb(r, 2), {}
@@ -327,6 +324,18 @@ def per_state_close(query: SearchQuery):
                 child = (rem - c * part, f0 + c, f1 + r * c)
                 nxt[child] = nxt.get(child, 0) + n
         layer = nxt
+    return layer
+
+
+def per_state_close(query: SearchQuery):
+    """(enumerated, filtered, min h, argmin finals) of the moment-state DP
+    with levels 3 and 2 closed state by state: every last-layer state
+    (rem, f0, f1) walks every t_3 from rem // 3 down to 0."""
+    k, gamma = query.k, query.curve_class.pairwise_intersection
+    r_max = k - 1 if query.require_tk_zero else k
+    hirz = Filter.HIRZEBRUCH_11 in query.filters
+    lt = Filter.LT_QUADRATIC in query.filters
+    layer = last_layer(query)
     enumerated = filtered = 0
     best, finals = None, set()
     for (rem, f0, f1), n in layer.items():
@@ -381,11 +390,13 @@ class TestGroupClose:
     @pytest.mark.parametrize("k", range(3, 9))
     def test_lt_rejections(self, monkeypatch, k):
         # the real lt first rejects a t-vector at k = 18; this predicate
-        # rejects finals from k = 3 on, and both sides read it
+        # rejects finals from k = 3 on, and both sides read it; no group is
+        # certified whole, so each t2 gets its own verdict
         def rejects(k, f0, f1, t2):
             return (f0 + f1 + t2) % 4 == 0
 
         monkeypatch.setattr(search, "_lt_holds", lambda *m: not rejects(*m))
+        monkeypatch.setattr(search, "_lt_everywhere", lambda *group: False)
         query = SearchQuery(CONICS, k, True, LT)
         enumerated = filtered = 0
         best, argmins = None, []
@@ -406,14 +417,55 @@ class TestGroupClose:
         assert result.min_h == best
         assert [dict(p.t) for p in result.argmin_profiles] == argmins
 
-    @pytest.mark.parametrize("k, calls", [(8, 3990), (9, 10748)])
+    @pytest.mark.parametrize("k, calls", [(8, 38), (9, 49)])
     def test_one_lt_verdict_per_group_and_t2(self, monkeypatch, k, calls):
-        # the per-state close made 6,900 and 24,001 calls
+        # the per-state close made 6,900 and 24,001 calls, and a verdict at
+        # every t2 of every group 3,990 and 10,748; now _lt_everywhere
+        # certifies all but a few groups, and only those walk their t2
         seen = []
         holds = search._lt_holds
         monkeypatch.setattr(search, "_lt_holds", lambda *m: seen.append(m) or holds(*m))
         minimize_h(SearchQuery(CONICS, k, True, LT))
         assert len(seen) == calls
+
+    def test_lt_everywhere_is_sound(self):
+        # a group the helper certifies passes the real lt at every t2 of its
+        # range.  lt rejects no conic final below k = 18, so the groups of
+        # k = 3..12 are also held to the helper's own claim, b^2 <= 4ac at
+        # every t2, and random groups, where lt does reject, to the first
+        def lt_at(k, g0, g1, t2):
+            f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
+            return f0, f1, 2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2)
+
+        verdicts = set()
+        for k in range(3, 13):
+            tops = {}
+            for rem, f0, f1 in last_layer(SearchQuery(CONICS, k, True)):
+                key = 3 * f0 + rem, f1 + rem
+                tops[key] = max(tops.get(key, rem), rem)
+            for (g0, g1), top in tops.items():
+                certified = search._lt_everywhere(k, g0, g1, top % 3, top)
+                verdicts.add(certified)
+                for t2 in range(top % 3, top + 1, 3) if certified else ():
+                    f0, f1, a, b, c = lt_at(k, g0, g1, t2)
+                    assert _lt_holds(k, f0, f1, t2), (k, g0, g1, t2)
+                    assert b * b <= 4 * a * c, (k, g0, g1, t2)
+        assert verdicts == {True, False}
+
+        rng = random.Random(20150623)
+        rejected = certified = 0
+        for _ in range(3000):
+            k, top, f0 = rng.randint(3, 30), rng.randint(0, 60), rng.randint(1, 200)
+            g0, g1 = 3 * f0 + top, rng.randint(2 * f0, 12 * f0) + top
+            holds = [
+                _lt_holds(k, *lt_at(k, g0, g1, t2)[:2], t2)
+                for t2 in range(top % 3, top + 1, 3)
+            ]
+            rejected += not all(holds)
+            if search._lt_everywhere(k, g0, g1, top % 3, top):
+                certified += 1
+                assert all(holds), (k, g0, g1, top)
+        assert rejected and certified
 
     def test_conic_k18_lt(self):
         # k = 18 is where lt first rejects t-vectors and first binds:
