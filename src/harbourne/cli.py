@@ -265,11 +265,9 @@ def _parse_search_class(token: str):
     if token in _CLASS_TOKENS:
         return _CLASS_TOKENS[token]
     if token.startswith("plane-curve-p2:"):
-        try:
-            degree = int(token.split(":", 1)[1])
-        except ValueError:
-            raise DocumentError(f"bad degree in class token {token!r}")
-        if degree < 1:
+        raw = token.split(":", 1)[1]
+        degree = int(raw) if raw.isdecimal() else 0
+        if degree < 1 or str(degree) != raw:  # int() also reads "03", "1_0"
             raise DocumentError(f"bad degree in class token {token!r}")
         return plane_curves(degree)
     raise DocumentError(f"unknown curve class {token!r}")

@@ -10,6 +10,11 @@ Three families live here:
 * the t_k case classifier for conic configurations, attaching the exact
   negativity bound each case carries.
 
+The two filters are defined once, as integer functions of
+(k, f0, f1, t2): :func:`lt_coefficients` with :func:`lt_holds`, and
+:func:`hirz11_margin`.  The profile predicates wrap them, and the search
+reads them directly on moment states.
+
 Hypotheses are hard gates: applying a predicate outside them raises
 instead of silently skipping.
 """
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, ceil
 
 from .hconst import local_h
 from .profiles import (
@@ -82,16 +86,44 @@ class CaseBound:
     provenance: str
 
 
+def lt_coefficients(k: int, f0: int, f1: int, t2: int) -> tuple[int, int, int]:
+    """Coefficients (a, b, c) of the positivity quadratic of a conic
+    configuration with moments f0, f1 and t2 double points."""
+    return 2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2)
+
+
+def lt_holds(k: int, f0: int, f1: int, t2: int) -> bool:
+    """Whether the positivity quadratic is >= 0 at every integer."""
+    return _integer_minimum(*lt_coefficients(k, f0, f1, t2))[1] >= 0
+
+
+def hirz11_margin(k: int, f0: int, f1: int, t2: int) -> int:
+    """lhs - rhs of :func:`hirzebruch_one_one`: 9 + k + t2 + t3 -
+    sum_{r>=5} (r-4) t_r, where sum_{r>=2} (r-4) t_r = f1 - 4*f0."""
+    return 9 + k - t2 + 4 * f0 - f1
+
+
+def _integer_minimum(a: int, b: int, c: int) -> tuple[int, int]:
+    """(x, F(x)) at the least value of F = a*x^2 + b*x + c on Z, a > 0.
+
+    It sits at an integer nearest the real vertex -b/2a; on a tie the
+    first of the two in set order is kept.
+    """
+    best = None
+    for x in {-b // (2 * a), -(b // (2 * a))}:
+        value = (a * x + b) * x + c
+        if best is None or value < best[1]:
+            best = x, value
+    return best
+
+
 def positivity_quadratic(profile: ConfigurationProfile) -> QuadraticConstraint:
     """Quadratic in x that is nonnegative over Z for transversal conic
     configurations with k >= 3 and no k-fold point."""
     _require_conic_tk0(profile)
     ms = moments(profile)
-    t2 = profile.t_of(2)
     return QuadraticConstraint(
-        a=2 * profile.k + ms.f0,
-        b=2 * (3 * profile.k - ms.f1 + 2 * ms.f0),
-        c=4 * (ms.f0 - t2),
+        *lt_coefficients(profile.k, ms.f0, ms.f1, profile.t_of(2))
     )
 
 
@@ -105,16 +137,10 @@ def holds_over_integers(q: QuadraticConstraint) -> IntegerCheck:
         raise HypothesisNotMet(
             f"leading coefficient must be positive, got {q.a}"
         )
-    vertex = Fraction(-q.b, 2 * q.a)
-    worst_x = None
-    worst_val = None
-    for x in {floor(vertex), ceil(vertex)}:
-        val = q.value(x)
-        if val < 0 and (worst_val is None or val < worst_val):
-            worst_x, worst_val = x, val
-    if worst_x is None:
+    x, value = _integer_minimum(q.a, q.b, q.c)
+    if value >= 0:
         return IntegerCheck(holds=True)
-    return IntegerCheck(holds=False, witness_x=worst_x, witness_value=worst_val)
+    return IntegerCheck(holds=False, witness_x=x, witness_value=value)
 
 
 def positivity_at_one(profile: ConfigurationProfile) -> tuple[int, bool]:
@@ -142,13 +168,12 @@ def hirzebruch_one_one(profile: ConfigurationProfile) -> HirzebruchCheck:
         raise HypothesisNotMet(
             f"inequality requires t_k = 0, got t_{profile.k} = {profile.t_of(profile.k)}"
         )
-    require_valid(profile)
-    lhs = 9 + profile.k + profile.t_of(2) + profile.t_of(3)
-    rhs = sum((r - 4) * c for r, c in profile.t.items() if r >= 5)
+    ms = moments(profile)  # validates the profile
+    t2 = profile.t_of(2)
     return HirzebruchCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs,
+        lhs=9 + profile.k + t2 + profile.t_of(3),
+        rhs=sum((r - 4) * c for r, c in profile.t.items() if r >= 5),
+        holds=hirz11_margin(profile.k, ms.f0, ms.f1, t2) >= 0,
         note="per-point deficiency summand (r-4)*t_r; re-derived symbolically "
         "by the covers module",
     )

@@ -164,16 +164,6 @@ def symbol_values(k: int, t: Mapping[int, int]) -> dict[str, int]:
     return vals
 
 
-def local_curve_euler(r: int, n: int) -> int:
-    """Euler number n^(r-1)(2-r) + r*n^(r-2) of the curve over an r-fold
-    branch point in the desingularized cover."""
-    if r < 3:
-        raise ValueError("branch points of the cover have multiplicity >= 3")
-    if n < 2:
-        raise ValueError("cover order must be >= 2")
-    return n ** (r - 1) * (2 - r) + r * n ** (r - 2)
-
-
 # f0 and f1 expanded over the symbol basis (sums start at r = 2).
 _F0 = {"t2": Fraction(1), "S0": Fraction(1)}
 _F1 = {"t2": Fraction(2), "S1": Fraction(1)}

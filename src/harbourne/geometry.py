@@ -817,54 +817,3 @@ def apply_to_curve(m_inverse: Mat3, c: PlaneCurve) -> PlaneCurve:
     coeffs = (s[0][0] * half, s[1][1] * half, s[2][2] * half, s[0][1], s[0][2], s[1][2])
     return PlaneCurve(CurveForm.CONIC, coeffs)
 
-
-# ---------------------------------------------------------------------------
-# conics through two fixed points <-> (1,1)-curves on the quadric
-
-
-@dataclass(frozen=True)
-class OneOneForm:
-    """Bidegree-(1,1) form sum m[i][j] * u_i * v_j on P^1 x P^1."""
-
-    m: tuple[tuple[FieldElement, FieldElement], tuple[FieldElement, FieldElement]]
-
-    def evaluate(self, u, v) -> FieldElement:
-        return (
-            self.m[0][0] * u[0] * v[0]
-            + self.m[0][1] * u[0] * v[1]
-            + self.m[1][0] * u[1] * v[0]
-            + self.m[1][1] * u[1] * v[1]
-        )
-
-    def determinant(self) -> FieldElement:
-        return self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
-
-
-def to_quadric_curve(c: PlaneCurve) -> OneOneForm:
-    """(1,1)-form of an irreducible conic through (1:0:0) and (0:1:0).
-
-    Coordinates on the quadric are the projections from the two base
-    points: u = (y:z) and v = (x:z).  For the conic
-    c*Z^2 + d*XY + e*XZ + f*YZ the matrix is [[d, f], [e, c]].
-    """
-    if c.form is not CurveForm.CONIC:
-        raise GeometryError("only conics correspond to (1,1)-curves")
-    a, b, cc, d, e, f = c.coeffs
-    if not a.is_zero() or not b.is_zero():
-        raise GeometryError(
-            "conic must pass through both projection base points "
-            "(1:0:0) and (0:1:0)"
-        )
-    form = OneOneForm(((d, f), (e, cc)))
-    if form.determinant().is_zero():
-        raise AssertionError("irreducible conic mapped to a degenerate (1,1)-form")
-    return form
-
-
-def quadric_image_point(p: ProjPoint):
-    """Image ((y:z), (x:z)) of a plane point on the quadric; undefined at
-    the two projection base points."""
-    x, y, z = p.coords
-    if (y.is_zero() and z.is_zero()) or (x.is_zero() and z.is_zero()):
-        raise GeometryError("projection is undefined at a base point")
-    return ((y, z), (x, z))

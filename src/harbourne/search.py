@@ -9,12 +9,12 @@ labelled combinatorially feasible only: no geometric realizability is
 implied, which makes the minimum an over-approximating (hence valid)
 lower-bound probe.
 
-Minimization does not enumerate.  h = (gamma*k - f1)/f0, the lt filter
-reads (k, f0, f1, t2) and hirz11 reads t2, t3 and sum_{r>=5} (r-4) t_r,
-so a dynamic program over moment states, each weighted by its number of
-t-vectors, gives the minimum and both counts exactly.  The last two
-levels close by group: the states that share (3*f0 + rem, f1 + rem)
-have the same finals.  A group on whose t2 range the filter gives one
+Minimization does not enumerate.  h = (gamma*k - f1)/f0 and every
+filter reads (k, f0, f1, t2), through the one definition of each in
+:mod:`harbourne.constraints`, so a dynamic program over moment states,
+each weighted by its number of t-vectors, gives the minimum and both
+counts exactly.  The last two levels close by group: the states that
+share (3*f0 + rem, f1 + rem) have the same finals.  A group on whose t2 range the filter gives one
 verdict closes in one step; any other visits each t2 once, weighted by
 the suffix sum of its states' counts over rem >= t2.  Only the argmin
 profiles are rebuilt, each traced back from its last-layer state to the
@@ -174,29 +174,16 @@ def _count_t_vectors(query: SearchQuery) -> int:
     return ways[budget]
 
 
-def _lt_holds(k: int, f0: int, f1: int, t2: int) -> bool:
-    """``holds_over_integers(positivity_quadratic(p)).holds`` from moments.
-
-    a > 0, so the integer minimum sits at floor(-b/2a) or the next integer.
-    """
-    a = 2 * k + f0
-    b = 2 * (3 * k - f1 + 2 * f0)
-    c = 4 * (f0 - t2)
-    x = (-b) // (2 * a)
-    return a * x * x + b * x + c >= 0 and a * (x + 1) ** 2 + b * (x + 1) + c >= 0
-
-
 def _lt_everywhere(k: int, g0: int, g1: int, lo: int, top: int) -> bool:
     """True if lt holds at every t2 = lo, lo + 3, ..., top of group (g0, g1).
 
-    The discriminant b^2 - 4ac of ``positivity_quadratic`` is a quadratic
+    The discriminant b^2 - 4ac of the lt quadratic is a quadratic
     in t2 with leading coefficient 4, so it is at most 0 on the whole
     range when it is at both ends; with a > 0 the quadratic is then >= 0
     at every real x.  False means only that this test decides nothing.
     """
     for t2 in (lo, top):
-        f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
-        a, b, c = 2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2)
+        a, b, c = constraints.lt_coefficients(k, (g0 + 2 * t2) // 3, g1 + t2, t2)
         if b * b > 4 * a * c:
             return False
     return True
@@ -205,31 +192,28 @@ def _lt_everywhere(k: int, g0: int, g1: int, lo: int, top: int) -> bool:
 def _dp_minimize(query: SearchQuery) -> SearchResult:
     """Answer :func:`minimize_h` from moment states, not from t-vectors.
 
-    h = (gamma*k - f1)/f0 and both filters read only moments, so levels
-    r = r_max..4 map each state (remaining budget, f0, f1) to the number
-    of t-vectors reaching it.  Levels 3 and 2 close the states into
-    finals (f0, f1, s), where s is the statistic of the filter: t2 for lt,
-    t2 + t3 - sum_{r>=5} (r-4) t_r for hirz11, and 0 otherwise.  Over the
-    levels r >= 4 the sum is f1 - 4*f0, so the state determines it and
-    carries no fourth coordinate.  A final fixes h and the verdict of the
+    h = (gamma*k - f1)/f0 and every filter reads (k, f0, f1, t2), so
+    levels r = r_max..4 map each state (remaining budget, f0, f1) to the
+    number of t-vectors reaching it.  Levels 3 and 2 close the states
+    into finals (f0, f1, t2), and a final fixes h and the verdict of the
     filter.
 
     With t2 = rem - 3*t_3, the finals of a state are F0 = f0 + (rem +
-    2*t2)/3 and F1 = f1 + rem + t2 for t2 = rem, rem - 3, ..., rem mod 3,
-    and s = t2 for lt, 4*F0 - F1 - t2 for hirz11.  They depend on the
-    state only through its group (3*f0 + rem, f1 + rem), which fixes
-    rem mod 3, and the states of one group differ only in rem.  So each
-    group is closed once, over t2 = lo, lo + 3, ..., top, with top its
-    largest rem and lo = top mod 3.  Usually the filter gives one verdict
-    over that whole range: hirz11's s rises with t2, so its verdicts at
-    lo and top decide the group when they agree, and
-    :func:`_lt_everywhere` certifies lt.  Such a group adds the number of
-    finals of its states, sum n*(rem//3 + 1), to the counts at once, and
-    h = 3*(gamma*k - g1 - t2)/(g0 + 2*t2), monotone in t2, offers only
-    t2 = top or lo to the argmin set, or every t2 where it is constant.
-    Any other group walks its t2 from top down, each with one verdict and
-    one comparison of h, weighted by the suffix sum of the counts of the
-    group's states with rem >= t2.  Finals are never stored.
+    2*t2)/3 and F1 = f1 + rem + t2 for t2 = rem, rem - 3, ..., rem mod 3.
+    They depend on the state only through its group (3*f0 + rem,
+    f1 + rem), which fixes rem mod 3, and the states of one group differ
+    only in rem.  So each group is closed once, over t2 = lo, lo + 3,
+    ..., top, with top its largest rem and lo = top mod 3.  Usually the
+    filter gives one verdict over that whole range: the hirz11 margin
+    rises with t2, so its verdicts at lo and top decide the group when
+    they agree, and :func:`_lt_everywhere` certifies lt.  Such a group
+    adds the number of finals of its states, sum n*(rem//3 + 1), to the
+    counts at once, and h = 3*(gamma*k - g1 - t2)/(g0 + 2*t2), monotone
+    in t2, offers only t2 = top or lo to the argmin set, or every t2
+    where it is constant.  Any other group walks its t2 from top down,
+    each with one verdict and one comparison of h, weighted by the suffix
+    sum of the counts of the group's states with rem >= t2.  Finals are
+    never stored.
 
     Only (group, t2) is kept of each tie.  Each of its group's states
     with rem >= t2 closes to it with t3 = (rem - t2)/3, and is traced
@@ -267,6 +251,13 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
 
     # Levels 3 and 2, by group (see the docstring).  The state of group
     # (g0, g1) with a given rem is (rem, (g0 - rem)/3, g1 - rem).
+    def passes(g0: int, g1: int, t2: int) -> bool:  # the final at t2
+        f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
+        return not (
+            hirz and constraints.hirz11_margin(k, f0, f1, t2) < 0
+            or lt and not constraints.lt_holds(k, f0, f1, t2)
+        )
+
     last = layers[-1]
     step = 3 if r_max >= 3 else budget + 1  # with no level 3, t2 = rem
     tops: dict = {}  # group -> the largest rem of its states
@@ -283,10 +274,8 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
     for key, top in tops.items():
         g0, g1 = key
         lo = top % step
-        if hirz:  # s = 4*f0 - f1 - t2 = (4*g0 + 2*t2)/3 - g1 rises with t2
-            at_lo, at_top = (
-                9 + k + (4 * g0 + 2 * t2) // 3 - g1 >= 0 for t2 in (lo, top)
-            )
+        if hirz:  # the margin rises by 2/3 per unit of t2
+            at_lo, at_top = passes(g0, g1, lo), passes(g0, g1, top)
             uniform = at_lo if at_lo == at_top else None
         else:
             uniform = True if not lt or _lt_everywhere(k, g0, g1, lo, top) else None
@@ -303,9 +292,7 @@ def _dp_minimize(query: SearchQuery) -> SearchResult:
             for t2 in range(top, -1, -step):
                 weight += last.get((t2, (g0 - t2) // 3, g1 - t2), 0)
                 enumerated += weight
-                f0, f1 = (g0 + 2 * t2) // 3, g1 + t2
-                s = 4 * f0 - f1 - t2 if hirz else t2
-                if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, f0, f1, s):
+                if not passes(g0, g1, t2):
                     continue
                 surviving += weight
                 t2s.append(t2)

@@ -548,6 +548,14 @@ def test_search_has_no_limit_option():
     assert "unrecognized arguments: --limit 5" in r.stderr
 
 
+@pytest.mark.parametrize("degree", ["1_0", " 3", "03", "+3", "3 ", "0", "-3", "x", ""])
+def test_search_class_degree_is_a_plain_decimal(capsys, degree):
+    token = f"plane-curve-p2:{degree}"
+    code, out, err = run_in_process(["search", "--class", token, "--k", "3"], capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == f"error: $: bad degree in class token {token!r}\n"
+
+
 def test_search_bad_filter_combination():
     r = run_cli(["search", "--class", "line-p2", "--k", "4", "--filter", "lt"])
     assert r.returncode == 2

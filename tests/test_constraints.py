@@ -8,14 +8,17 @@ from harbourne.constraints import (
     CaseTag,
     HypothesisNotMet,
     classify_conic_case,
+    hirz11_margin,
     hirzebruch_one_one,
     holds_over_integers,
+    lt_coefficients,
+    lt_holds,
     positivity_at_one,
     positivity_quadratic,
     QuadraticConstraint,
 )
 from harbourne.hconst import local_h
-from harbourne.profiles import CONICS, ConfigurationProfile, LINES, ONE_ONE
+from harbourne.profiles import CONICS, ConfigurationProfile, LINES, ONE_ONE, moments
 from harbourne.search import SearchQuery, enumerate_profiles
 
 
@@ -71,6 +74,12 @@ class TestHoldsOverIntegers:
         check = holds_over_integers(q)
         assert not check.holds
         assert check.witness_x == 1 and check.witness_value == -9
+
+    @pytest.mark.parametrize("abc, x", [((1, 1, -5), 0), ((1, 3, -1), -2)])
+    def test_tie_at_a_half_integer_vertex(self, abc, x):
+        # F is equal and negative at both integers nearest the vertex
+        check = holds_over_integers(QuadraticConstraint(*abc))
+        assert not check.holds and check.witness_x == x
 
     @given(
         st.integers(1, 60),
@@ -133,6 +142,23 @@ class TestHirzebruchOneOne:
     def test_gate_wrong_class(self):
         with pytest.raises(HypothesisNotMet):
             hirzebruch_one_one(ConfigurationProfile(CONICS, 4, {2: 24}))
+
+
+def test_moment_forms_match_the_profile_predicates():
+    # every tk0 profile of the conic (k = 3..9) and (1,1) (k = 4..10) ladders
+    queries = [SearchQuery(CONICS, k, True) for k in range(3, 10)]
+    queries += [SearchQuery(ONE_ONE, k, True) for k in range(4, 11)]
+    for query in queries:
+        for profile in enumerate_profiles(query):
+            ms = moments(profile)
+            m = profile.k, ms.f0, ms.f1, profile.t_of(2)
+            if query.curve_class is CONICS:
+                q = positivity_quadratic(profile)
+                assert (q.a, q.b, q.c) == lt_coefficients(*m), profile
+                assert holds_over_integers(q).holds == lt_holds(*m), profile
+            else:
+                check = hirzebruch_one_one(profile)
+                assert check.lhs - check.rhs == hirz11_margin(*m), profile
 
 
 class TestClassifier:

@@ -13,20 +13,6 @@ from harbourne.search import SearchQuery, enumerate_profiles
 F = Fraction
 
 
-class TestLocalCurveEuler:
-    @pytest.mark.parametrize(
-        "r, n, value", [(3, 2, 2), (3, 3, 0), (4, 2, 0), (5, 2, -8)]
-    )
-    def test_values(self, r, n, value):
-        assert covers.local_curve_euler(r, n) == value
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            covers.local_curve_euler(2, 2)
-        with pytest.raises(ValueError):
-            covers.local_curve_euler(3, 1)
-
-
 class TestEulerExpr:
     def test_basis_coefficients(self):
         e = covers.euler_expr()

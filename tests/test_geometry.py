@@ -25,8 +25,6 @@ from harbourne.geometry import (
     line,
     point,
     proportional,
-    quadric_image_point,
-    to_quadric_curve,
     transversal_at,
 )
 from harbourne.hconst import local_h
@@ -596,51 +594,6 @@ class TestTriangleFrame:
                 assert incident(curve, p) == incident(
                     moved, G.apply_to_point(t, p)
                 )
-
-
-class TestQuadricCorrespondence:
-    def test_matrix_of_xy_minus_z2(self):
-        form = to_quadric_curve(conic(Q, 0, 0, -1, 1, 0, 0))
-        assert [[c.as_rational() for c in row] for row in form.m] == [
-            [1, 0],
-            [0, -1],
-        ]
-
-    def test_incidence_preserved(self):
-        c = conic(Q, 0, 0, 0, 1, 1, 1)  # XY + XZ + YZ
-        form = to_quadric_curve(c)
-        for x, y, z in ((2, 2, -1), (3, 6, -2), (4, 12, -3), (2, -1, 2)):
-            p = point(Q, x, y, z)
-            assert incident(c, p)
-            u, v = quadric_image_point(p)
-            assert form.evaluate(u, v).is_zero()
-
-    def test_missing_base_point_rejected(self):
-        with pytest.raises(GeometryError):
-            to_quadric_curve(CIRCLE2)  # passes through neither base point
-
-    def test_projection_undefined_at_base_points(self):
-        with pytest.raises(GeometryError):
-            quadric_image_point(point(Q, 1, 0, 0))
-
-    def test_two_one_one_curves_meet_twice(self):
-        # corresponding plane statement: two conics transversal at the two
-        # base points meet in 2 further points; on the quadric the forms
-        # share exactly those 2 zeros
-        c1 = conic(Q, 0, 0, -1, 1, 0, 0)  # XY - Z^2
-        c2 = conic(Q, 0, 0, -6, 1, 2, 2)  # XY + 2XZ + 2YZ - 6Z^2
-        pts = intersect(c1, c2)
-        off_base = [
-            p
-            for p, _ in pts
-            if not (p == point(Q, 1, 0, 0) or p == point(Q, 0, 1, 0))
-        ]
-        assert len(off_base) == 2
-        form1, form2 = to_quadric_curve(c1), to_quadric_curve(c2)
-        for p in off_base:
-            u, v = quadric_image_point(p)
-            assert form1.evaluate(u, v).is_zero()
-            assert form2.evaluate(u, v).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from harbourne import search
+from harbourne import constraints, search
 from harbourne.profiles import CONICS
 from harbourne.search import Filter, SearchQuery, minimize_h
 
@@ -41,7 +41,7 @@ def test_negativity_sweep_searches_raw_where_lt_rejects(monkeypatch, capsys):
     def holds(k, f0, f1, t2):
         return (f0 + f1 + t2) % 4 != 0
 
-    monkeypatch.setattr(search, "_lt_holds", holds)
+    monkeypatch.setattr(constraints, "lt_holds", holds)
     monkeypatch.setattr(search, "_lt_everywhere", lambda *group: False)
     sweep = load_script("negativity_sweep")
     queries = []

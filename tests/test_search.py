@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from harbourne.constraints import QuadraticConstraint, holds_over_integers
+from harbourne import constraints
+from harbourne.constraints import QuadraticConstraint, holds_over_integers, lt_holds
 from harbourne.hconst import local_h
 from harbourne.profiles import (
     CONICS,
@@ -20,7 +21,6 @@ from harbourne.search import (
     SearchQuery,
     SearchQueryError,
     SearchResult,
-    _lt_holds,
     _passes,
     enumerate_profiles,
     minimize_h,
@@ -306,7 +306,7 @@ class TestMomentStateSearch:
             t2 = rng.randint(0, f0)
             q = QuadraticConstraint(2 * k + f0, 2 * (3 * k - f1 + 2 * f0), 4 * (f0 - t2))
             want = holds_over_integers(q).holds
-            assert _lt_holds(k, f0, f1, t2) == want, (k, f0, f1, t2)
+            assert lt_holds(k, f0, f1, t2) == want, (k, f0, f1, t2)
             verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -344,7 +344,7 @@ def per_state_close(query: SearchQuery):
             final = (f0 + c3 + t2, f1 + 3 * c3 + 2 * t2)
             s = 4 * f0 - f1 + c3 + t2 if hirz else t2 if lt else 0
             enumerated += n
-            if hirz and 9 + k + s < 0 or lt and not _lt_holds(k, *final, s):
+            if hirz and 9 + k + s < 0 or lt and not lt_holds(k, *final, s):
                 continue
             filtered += n
             h = Fraction(gamma * k - final[1], final[0])
@@ -395,7 +395,7 @@ class TestGroupClose:
         def rejects(k, f0, f1, t2):
             return (f0 + f1 + t2) % 4 == 0
 
-        monkeypatch.setattr(search, "_lt_holds", lambda *m: not rejects(*m))
+        monkeypatch.setattr(constraints, "lt_holds", lambda *m: not rejects(*m))
         monkeypatch.setattr(search, "_lt_everywhere", lambda *group: False)
         query = SearchQuery(CONICS, k, True, LT)
         enumerated = filtered = 0
@@ -423,8 +423,7 @@ class TestGroupClose:
         # every t2 of every group 3,990 and 10,748; now _lt_everywhere
         # certifies all but a few groups, and only those walk their t2
         seen = []
-        holds = search._lt_holds
-        monkeypatch.setattr(search, "_lt_holds", lambda *m: seen.append(m) or holds(*m))
+        monkeypatch.setattr(constraints, "lt_holds", lambda *m: seen.append(m) or lt_holds(*m))
         minimize_h(SearchQuery(CONICS, k, True, LT))
         assert len(seen) == calls
 
@@ -448,7 +447,7 @@ class TestGroupClose:
                 verdicts.add(certified)
                 for t2 in range(top % 3, top + 1, 3) if certified else ():
                     f0, f1, a, b, c = lt_at(k, g0, g1, t2)
-                    assert _lt_holds(k, f0, f1, t2), (k, g0, g1, t2)
+                    assert lt_holds(k, f0, f1, t2), (k, g0, g1, t2)
                     assert b * b <= 4 * a * c, (k, g0, g1, t2)
         assert verdicts == {True, False}
 
@@ -458,7 +457,7 @@ class TestGroupClose:
             k, top, f0 = rng.randint(3, 30), rng.randint(0, 60), rng.randint(1, 200)
             g0, g1 = 3 * f0 + top, rng.randint(2 * f0, 12 * f0) + top
             holds = [
-                _lt_holds(k, *lt_at(k, g0, g1, t2)[:2], t2)
+                lt_holds(k, *lt_at(k, g0, g1, t2)[:2], t2)
                 for t2 in range(top % 3, top + 1, 3)
             ]
             rejected += not all(holds)
