@@ -515,6 +515,18 @@ def cmd_fixtures(args, out) -> int:
 # argument parsing
 
 
+def _plain_int(text: str) -> int:
+    """An integer option written as str() writes an int; type=int alone
+    also reads "1_0", "+3" and " 3"."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() call and reused by every later one
@@ -547,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate profiles and minimize h")
     p.add_argument("--class", dest="curve_class", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_plain_int, required=True)
     p.add_argument("--tk0", action="store_true")
     p.add_argument(
         "--filter", action="append", choices=[f.value for f in Filter]
@@ -556,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-covers", help="verify the cover computation")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_plain_int, default=3)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_verify_covers)
 

@@ -17,6 +17,15 @@ denominator (m need not have integer coefficients).  An inverse solves
 elimination over Z (Bareiss), whose divisions are all exact; the norm in
 :mod:`harbourne._zpoly` takes its determinants the same way.
 
+A sum of products, sum(u_i * v_i), is one kernel, :func:`dot`, which
+the geometric forms (conic values, matrix products, determinants) go
+through.  It puts each product's denominator u_i.den * v_i.den over
+their lcm and adds the integer numerators: over Q as plain ints, over
+Q[theta]/(m) as the unreduced 2d - 1 coefficients of the schoolbook
+products, which are reduced by the power table once.  So it builds one
+element and takes one gcd, where the products and partial sums would
+build 2n - 1.
+
 A field is accepted only if m has degree at most ``MAX_FIELD_DEGREE``
 and is irreducible over Q: its primitive integer form must be square-free
 with a single irreducible factor over Z.
@@ -438,6 +447,44 @@ def _element(field: ExactField, num: tuple[int, ...], den: int) -> FieldElement:
     _set_num(self, num)
     _set_den(self, den)
     return self
+
+
+def dot(us: Sequence[FieldElement], vs: Sequence[FieldElement]) -> FieldElement:
+    """sum(u * v for u, v in zip(us, vs)) as one element, for two
+    sequences of equal length: the products are put over the lcm of their
+    denominators and summed unreduced, then reduced once.  Operands that
+    are not all elements of one field object go through * and +, so
+    coercion and the FieldError for mixed fields are theirs."""
+    if not us:
+        return 0
+    field = getattr(us[0], "field", None)
+    for x in (*us, *vs):
+        if x.__class__ is not FieldElement or x.field is not field:
+            return sum(u * v for u, v in zip(us, vs))
+    table = field._table
+    if table is None:
+        # one running numerator over the lcm of the denominators so far
+        num, den = 0, 1
+        for u, v in zip(us, vs):
+            e = u.den * v.den
+            if e == den:
+                num += u.num[0] * v.num[0]
+            else:
+                g = lcm(den, e)
+                num = num * (g // den) + u.num[0] * v.num[0] * (g // e)
+                den = g
+        return _element(field, (num,), den)
+    dens = [u.den * v.den for u, v in zip(us, vs)]
+    den = lcm(*dens)
+    prod = [0] * (2 * field.degree - 1)
+    for u, v, e in zip(us, vs, dens):
+        scale = den // e
+        for i, x in enumerate(u.num):
+            if x:
+                x *= scale
+                for j, y in enumerate(v.num, i):
+                    prod[j] += x * y
+    return _element(field, tuple(_reduce(prod, table)), den * table[1])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactfield import ExactField, FieldElement, roots_in_field
+from .exactfield import ExactField, FieldElement, dot, roots_in_field
 from .profiles import (
     CONICS,
     ConfigurationProfile,
@@ -196,12 +196,10 @@ class PlaneCurve:
         return 1 if self.form is CurveForm.LINE else 2
 
     def evaluate(self, p: ProjPoint) -> FieldElement:
-        x, y, z = p.coords
         if self.form is CurveForm.LINE:
-            a, b, c = self.coeffs
-            return a * x + b * y + c * z
-        a, b, c, d, e, f = self.coeffs
-        return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
+            return dot(self.coeffs, p.coords)
+        x, y, z = p.coords
+        return dot(self.coeffs, (x * x, y * y, z * z, x * y, x * z, y * z))
 
     def gradient(self, p: ProjPoint) -> tuple[FieldElement, ...]:
         if self.form is CurveForm.LINE:
@@ -261,20 +259,16 @@ Mat3 = tuple[tuple[FieldElement, ...], ...]
 
 
 def det3(m: Mat3) -> FieldElement:
-    a, b, c = cross(m[1], m[2])
-    return m[0][0] * a + m[0][1] * b + m[0][2] * c
+    return dot(m[0], cross(m[1], m[2]))
 
 
 def mat_vec(m: Mat3, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    return tuple(sum((m[i][j] * v[j] for j in range(3)), v[0].field.zero()) for i in range(3))
+    return tuple(dot(row, v) for row in m)
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    zero = a[0][0].field.zero()
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), zero) for j in range(3))
-        for i in range(3)
-    )
+    cols = transpose(b)
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def transpose(m: Mat3) -> Mat3:
@@ -391,10 +385,7 @@ def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
 
 def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
     """p^T S q = Q(p+q) - Q(p) - Q(q), the polarization of the conic."""
-    return sum(
-        (x * y for x, y in zip(p.coords, mat_vec(c._matrix, q.coords))),
-        c.field.zero(),
-    )
+    return dot(p.coords, mat_vec(c._matrix, q.coords))
 
 
 def _combine_points(t: FieldElement, a: ProjPoint, u: FieldElement, b: ProjPoint):
@@ -450,7 +441,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
 
     def trace(adj: Mat3, s: Mat3) -> FieldElement:
         """tr(adj * s) for a symmetric s."""
-        return sum((adj[i][j] * s[i][j] for i in range(3) for j in range(3)), field.zero())
+        return dot(adj[0] + adj[1] + adj[2], s[0] + s[1] + s[2])
 
     # det(lam*Sf + mu*Sg) = lam^3 det Sf + lam^2 mu tr(adj Sf Sg)
     #                       + lam mu^2 tr(Sf adj Sg) + mu^3 det Sg
@@ -513,7 +504,7 @@ def _complete_pair(
     fp3 = f.gradient(p3)
     m = [gr * a - fr * b for a, b in zip(fp3, g.gradient(p3))]
     q = ProjPoint(cross(cross(p1.coords, p2.coords), m))
-    fq, bq = f.evaluate(q), sum((a * b for a, b in zip(fp3, q.coords)), f.field.zero())
+    fq, bq = f.evaluate(q), dot(fp3, q.coords)
     x = ProjPoint(tuple(fq * u - bq * v for u, v in zip(p3.coords, q.coords))).canonical()
     if not g.evaluate(x).is_zero():
         raise AssertionError("completed pair meets f off g")

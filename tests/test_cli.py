@@ -556,6 +556,24 @@ def test_search_class_degree_is_a_plain_decimal(capsys, degree):
     assert err == f"error: $: bad degree in class token {token!r}\n"
 
 
+INT_OPTIONS = [["search", "--class", "line-p2", "--k"], ["verify-covers", "--n"]]
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "03", "٣", "abc", ""])
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=["k", "n"])
+def test_integer_options_are_plain_decimals(capsys, argv, text):
+    code, out, err = run_in_process([*argv, text, "--machine"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {argv[-1]}: invalid int value: {text!r}\n")
+
+
+def test_negative_integer_options_reach_their_range_checks(capsys):
+    code, out, err = run_in_process(["search", "--class", "line-p2", "--k", "-3"], capsys)
+    assert (code, out, err) == (cli.EXIT_COMPUTATION, "", "error: search requires k >= 3, got k=-3\n")
+    code, out, err = run_in_process(["verify-covers", "--n", "-3"], capsys)
+    assert (code, out, err) == (cli.EXIT_VALIDATION, "", "error: $: --n must be >= 2\n")
+
+
 def test_search_bad_filter_combination():
     r = run_cli(["search", "--class", "line-p2", "--k", "4", "--filter", "lt"])
     assert r.returncode == 2

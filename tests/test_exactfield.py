@@ -18,6 +18,7 @@ from harbourne.exactfield import (
     _number_field_roots,
     _primitive,
     _rational_roots,
+    dot,
     kx_divmod,
     kx_gcd,
     kx_monic,
@@ -679,6 +680,56 @@ def test_division_round_trip(name):
             _assert_normal((a * b) / b)
 
     round_trip()
+
+
+def _term_by_term(us, vs):
+    total = us[0] * vs[0]
+    for u, v in zip(us[1:], vs[1:]):
+        total = total + u * v
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_dot_matches_the_term_by_term_sum(name):
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"dot:{name}")
+    zeros = 0
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        us = [field.element(_random_coeffs(rng, field.degree)) for _ in range(n)]
+        vs = [field.element(_random_coeffs(rng, field.degree)) for _ in range(n)]
+        cancel = rng.randrange(3)
+        if cancel == 1 and n > 1:  # the last product undoes the others
+            us[-1], vs[-1] = _term_by_term(us[:-1], vs[:-1]), -field.one()
+        elif cancel == 2 and n < 9:  # each product appears with both signs
+            us, vs = us + us, vs + [-v for v in vs]
+        got, want = dot(us, vs), _term_by_term(us, vs)
+        assert (got.num, got.den, got.field) == (want.num, want.den, want.field)
+        _assert_normal(got)
+        zeros += got.is_zero()
+    assert zeros >= 40
+
+
+def test_dot_coerces_like_mul_and_add():
+    twin = ExactField((F(-2), F(0), F(1)))
+    assert twin is not SQRT2 and twin == SQRT2
+    us = (twin.generator(), SQRT2.element([F(1, 3), 2]), 5)
+    vs = (SQRT2.element([1, F(-1, 2)]), twin.element(F(7, 4)), SQRT2.generator())
+    assert dot(us, vs) == us[0] * vs[0] + us[1] * vs[1] + us[2] * vs[2]
+    assert dot(vs, us) == vs[0] * us[0] + vs[1] * us[1] + vs[2] * us[2]
+    q = RATIONALS.element(F(3, 4))
+    assert dot((2, q), (q, -3)) == 2 * q + q * -3 == RATIONALS.element(F(-3, 4))
+    assert dot((), ()) == sum(()) == 0
+
+
+def test_dot_refuses_mixed_fields():
+    for us, vs in (
+        ((SQRT2.one(), CBRT2.one()), (SQRT2.one(), CBRT2.one())),
+        ((SQRT2.one(),), (RATIONALS.one(),)),
+        ((RATIONALS.one(), RATIONALS.one()), (RATIONALS.one(), SQRT2.one())),
+    ):
+        with pytest.raises(FieldError):
+            dot(us, vs)
 
 
 def test_long_coefficient_vectors_reduce_like_the_reference():

@@ -807,6 +807,63 @@ def _counted(monkeypatch, name):
     return results
 
 
+def _random_element(rng, field):
+    return field.element(
+        [F(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7))) for _ in range(field.degree)]
+    )
+
+
+def _conic_by_terms(c, p):
+    a, b, cc, d, e, f = c.coeffs
+    x, y, z = p.coords
+    return a * x * x + b * y * y + cc * z * z + d * x * y + e * x * z + f * y * z
+
+
+def _det_by_terms(m):
+    return (
+        m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0] + m[0][2] * m[1][0] * m[2][1]
+        - m[0][2] * m[1][1] * m[2][0] - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2]
+    )
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_forms_match_their_term_by_term_formulas(name):
+    """evaluate, gradient, _conic_bilinear, det3 and mat_mul, which sum
+    their products in one reduction, against the products added one by one."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"forms:{name}")
+    elem = lambda: _random_element(rng, field)  # noqa: E731
+    checked = 0
+    while checked < 40:
+        p, q = (ProjPoint((elem(), elem(), elem())) for _ in range(2))
+        ln = line(field, elem(), elem(), elem())
+        a, b, c = ln.coeffs
+        x, y, z = p.coords
+        assert ln.evaluate(p) == a * x + b * y + c * z
+        assert ln.gradient(p) == ln.coeffs
+        try:
+            k = conic(field, *(elem() for _ in range(6)))
+        except GeometryError:  # degenerate
+            continue
+        a, b, c, d, e, f = k.coeffs
+        assert k.evaluate(p) == _conic_by_terms(k, p)
+        assert k.gradient(p) == (
+            2 * a * x + d * y + e * z,
+            d * x + 2 * b * y + f * z,
+            e * x + f * y + 2 * c * z,
+        )
+        pq = ProjPoint(tuple(u + v for u, v in zip(p.coords, q.coords)))
+        polar = _conic_by_terms(k, pq) - _conic_by_terms(k, p) - _conic_by_terms(k, q)
+        assert G._conic_bilinear(k, p, q) == polar
+        m, n = (tuple(tuple(elem() for _ in range(3)) for _ in range(3)) for _ in range(2))
+        assert G.det3(m) == _det_by_terms(m)
+        assert G.mat_mul(m, n) == tuple(
+            tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] + m[i][2] * n[2][j] for j in range(3))
+            for i in range(3)
+        )
+        checked += 1
+
+
 class TestConicConicPath:
     def test_four_base_points_from_one_split_member(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
@@ -1289,6 +1346,22 @@ class TestExtractProfileSkipsKnownPairs:
         profile = _assert_matches_all_pairs(conics, intersect_calls)
         assert dict(profile.t) == {2: 72, 3: 11, 15: 7}
         assert (len(intersect_calls), len(completions)) == (1, 107)
+
+    def test_seven_point_conics_build_at_most_12000_elements(self, monkeypatch):
+        """Each form of three or more products is summed in one reduction
+        (exactfield.dot), not one FieldElement per product and partial sum."""
+        conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
+        config = GeometricConfiguration(Q, tuple(conics))
+        built = []
+        original = exactfield._element
+
+        def counting(*args):
+            built.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(exactfield, "_element", counting)
+        assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
+        assert len(built) <= 12_000
 
     def test_cremona_image_conics_make_1_call_and_12_completions(
         self, intersect_calls, completions
