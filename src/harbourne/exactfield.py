@@ -32,24 +32,26 @@ with a single irreducible factor over Z.
 
 Root extraction for univariate polynomials over the field is one skeleton
 for every field, :func:`roots_in_field`.  A linear polynomial is answered
-directly.  Any other f goes through one square-free chain c0 = monic f,
-c(i+1) = gcd(c(i), c(i)'): c0 / c1 is the square-free part of f, and a
-root of f has multiplicity 1 + the number of c1, c2, ... it is a root
-of, so a square-free f (the transversal case) needs no further work.
-Only the distinct roots of the square-free part are found per field, and
-both fields read them off one factorizer over Z (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 14-15).  Over Q they are the
-linear factors of the square-free part itself.  Over a number field it
-is a norm/shift argument (Trager 1976): shift x by integer multiples of
-theta until the norm (a resultant down to Q[x]) is square-free, factor
-the norm over Z, and read off the in-field roots as the linear gcds.
-That argument needs its input square-free, which the chain guarantees:
-for a polynomial with a repeated root no shift works, and the search
-stops with an ``AssertionError`` after the C(deg f * d, 2) + 1 shifts
-that suffice for a square-free one.  The integer polynomial work (norms,
-factoring with its square-free test) lives in :mod:`harbourne._zpoly`,
-imported lazily by the field check and the root paths of degree 2 and
-up; everything in K[x] is done here.
+directly.  Any other f first goes to one factorizer over Z (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15), which also
+tests square-freeness: over Q on f itself, whose linear factors give the
+roots, and over a number field on the norm (a resultant down to Q[x]) of
+f, by the norm/shift argument of Trager (1976).  A square-free result
+proves f square-free (the transversal case), so every root is simple.
+Over a number field the in-field roots are read off as linear gcds of f
+with norm factors, and when all of them are in the field the last one
+comes from the sum of the roots (Vieta) instead.  Only otherwise does the
+square-free chain c0 = monic f, c(i+1) = gcd(c(i), c(i)') run: c0 / c1 is
+the square-free part of f, whose distinct roots are found as above, and
+a root of f has multiplicity 1 + the number of c1, c2, ... it is a root
+of.  Over a number field, x is shifted by integer multiples of theta
+until the norm is square-free.  That argument needs its input
+square-free: for a polynomial with a repeated root no shift works, and
+the search stops with an ``AssertionError`` after the C(deg f * d, 2) + 1
+shifts that suffice for a square-free one.  The integer polynomial work
+(norms, factoring with its square-free test) lives in
+:mod:`harbourne._zpoly`, imported lazily by the field check and the root
+paths of degree 2 and up; everything in K[x] is done here.
 """
 
 from __future__ import annotations
@@ -578,16 +580,28 @@ def roots_in_field(
         return []
     if len(poly) == 2:
         return [(-poly[0] / poly[1], 1)]
+    monic = kx_monic(poly)
+    # the factorizer proves a square-free f (the transversal case) so, and
+    # then every root is simple: over Q on f itself, over K on its norm at
+    # shift 0, which is square-free only if f is
+    if field.is_rational:
+        roots = _rational_roots(_integers(monic))
+        if roots is not None:
+            return [(field.element(r), 1) for r in roots]
+    else:
+        roots = _shift_roots(monic, field, 0)
+        if roots is not None:
+            return [(r, 1) for r in roots]
     # c0 = monic f, c(i+1) = gcd(c(i), c(i)'); a root of f lies on exactly
     # multiplicity - 1 of c1, c2, ..., and c0 / c1 is the square-free part
-    chain = [kx_monic(poly)]
+    chain = [monic]
     while len(chain[-1]) > 1:
         chain.append(kx_gcd(chain[-1], kx_derivative(chain[-1])))
-    squarefree = chain[0] if len(chain) == 2 else kx_divmod(chain[0], chain[1])[0]
+    squarefree = monic if len(chain) == 2 else kx_divmod(monic, chain[1])[0]
     if field.is_rational:
         roots = [field.element(r) for r in _rational_roots(_integers(squarefree))]
-    else:
-        roots = _number_field_roots(squarefree, field)
+    else:  # shift 0 has failed already for a square-free f
+        roots = _number_field_roots(squarefree, field, 1 if len(chain) == 2 else 0)
     out = []
     for root in roots:
         mult = 1
@@ -597,20 +611,20 @@ def roots_in_field(
     return out
 
 
-def _rational_roots(ints: Sequence[int]) -> list[Rat]:
-    """Distinct rational roots of a square-free integer polynomial of
-    positive degree and content 1: 0 first, then by (|numerator|,
-    denominator), a positive root before its negative.
+def _rational_roots(ints: Sequence[int]) -> list[Rat] | None:
+    """Distinct rational roots of an integer polynomial of positive degree
+    and content 1, or None when it is not square-free: 0 first, then by
+    (|numerator|, denominator), a positive root before its negative.
 
     They are -g0/g1 for the linear factors g0 + g1 x of the polynomial
     over Z (:func:`harbourne._zpoly.factor_squarefree`).
     """
     from ._zpoly import factor_squarefree
 
-    return sorted(
-        (Rat(-g[0], g[1]) for g in factor_squarefree(ints) if len(g) == 2),
-        key=_root_order,
-    )
+    factors = factor_squarefree(ints)
+    if factors is None:
+        return None
+    return sorted((Rat(-g[0], g[1]) for g in factors if len(g) == 2), key=_root_order)
 
 
 def _root_order(c: Rat) -> tuple:
@@ -637,40 +651,62 @@ def _content_free(ints: Sequence[int]) -> list[int]:
 
 
 def _number_field_roots(
-    poly: list[FieldElement], field: ExactField
+    poly: list[FieldElement], field: ExactField, first: int = 0
 ) -> list[FieldElement]:
     """Distinct roots in Q[theta]/(m) of a square-free monic poly of degree
-    n, by the norm trick (Trager 1976).
+    n, by the norm trick (Trager 1976), trying the shifts s = first, first
+    + 1, ... in turn (:func:`_shift_roots`).
 
     The norm of poly(x - s theta) has the n d roots alpha + s sigma(theta),
     for the roots alpha of the conjugates poly^sigma.  Two of them with the
     same sigma never coincide, since poly is square-free, and two with
     different sigma coincide for at most one s.  So one of the first
     C(n d, 2) + 1 shifts s gives a square-free norm; if none does, poly has
-    a repeated root.  Roots come in the order of the norm's irreducible
-    factors in :func:`harbourne._zpoly.factor_squarefree`.
+    a repeated root.
+    """
+    for s in range(first, comb((len(poly) - 1) * field.degree, 2) + 1):
+        roots = _shift_roots(poly, field, s)
+        if roots is not None:
+            return roots
+    raise AssertionError(
+        "no shift gives a square-free norm: the polynomial has a repeated root"
+    )
+
+
+def _shift_roots(
+    poly: list[FieldElement], field: ExactField, s: int
+) -> list[FieldElement] | None:
+    """Distinct roots in Q[theta]/(m) of a monic poly of degree n whose
+    norm at shift s is square-free (which proves poly square-free); None
+    when that norm is not.
+
+    Each irreducible factor g of poly(x - s theta) over K has the norm
+    factor N(g) of degree d deg g, so the factors of degree d are those of
+    the in-field roots, which their gcds with it read off, in the order of
+    :func:`harbourne._zpoly.factor_squarefree`.  When all n roots are in
+    the field, the last is -c(n-1) minus the others (Vieta), with no gcd.
     """
     from . import _zpoly
 
     theta = field.generator()
     d = field.degree
-    for s in range(comb((len(poly) - 1) * d, 2) + 1):
-        shifted = kx_shift(poly, theta * (-s))
-        nums, _ = _over_common_den((n, c.den) for c in shifted for n in c.num)
-        norm = _zpoly.integer_norm(
-            [nums[i : i + d] for i in range(0, len(nums), d)], field._table
-        )
-        factors = _zpoly.factor_squarefree(norm)
-        if factors is None:
-            continue
-        roots = []
-        for factor in factors:
-            if len(factor) - 1 > d:
-                continue
-            h = kx_gcd(shifted, [field.element(c) for c in factor])
-            if len(h) == 2:  # linear: x - rho
-                roots.append(-h[0] - theta * s)
-        return roots
-    raise AssertionError(
-        "no shift gives a square-free norm: the polynomial has a repeated root"
+    shifted = kx_shift(poly, theta * (-s)) if s else poly
+    nums, _ = _over_common_den((n, c.den) for c in shifted for n in c.num)
+    norm = _zpoly.integer_norm(
+        [nums[i : i + d] for i in range(0, len(nums), d)], field._table
     )
+    factors = _zpoly.factor_squarefree(norm)
+    if factors is None:
+        return None
+    n = len(poly) - 1
+    linear = [g for g in factors if len(g) - 1 == d]
+    split = len(linear) == n
+    roots = []
+    for g in linear[: n - 1] if split else linear:
+        h = kx_gcd(shifted, [field.element(c) for c in g])
+        if len(h) != 2:
+            raise AssertionError("a norm factor of degree d gives no linear gcd")
+        roots.append(-h[0] - theta * s)  # h = x - rho
+    if split:
+        roots.append(-sum(roots, poly[-2]))
+    return roots

@@ -86,10 +86,18 @@ class DegreeOutOfRangeError(GeometryError):
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """Point of the projective plane; equality is projective."""
+    """Point of the projective plane; equality is projective.
+
+    Equality and hashing compare the integer identity, the (num, den) of
+    each canonical coordinate.  It is computed on first use, as are the
+    Fractions of ``sort_key`` (which only orders lists), the monomials
+    that :meth:`PlaneCurve.evaluate` reads and, per conic, the gradient
+    S p.  Each is kept on this object, never shared with a scaled copy.
+    """
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
-    _key: tuple | None = dc_field(default=None, init=False, compare=False, repr=False)
+    # per-object caches, set on first use
+    _id = _key = _mono = _grads = None
 
     def __post_init__(self):
         if len(self.coords) != 3:
@@ -114,6 +122,13 @@ class ProjPoint:
                 return ProjPoint(tuple(x * inv for x in self.coords))
         raise AssertionError("unreachable: zero point")
 
+    def identity(self) -> tuple:
+        """The (num, den) of each canonical coordinate, computed once."""
+        if self._id is None:
+            ident = tuple((c.num, c.den) for c in self.canonical().coords)
+            object.__setattr__(self, "_id", ident)
+        return self._id
+
     def sort_key(self):
         """Coefficients of the canonical coordinates, computed once."""
         if self._key is None:
@@ -121,15 +136,23 @@ class ProjPoint:
             object.__setattr__(self, "_key", key)
         return self._key
 
+    def monomials(self) -> tuple[FieldElement, ...]:
+        """x^2, y^2, z^2, xy, xz, yz, in conic coefficient order, computed once."""
+        if self._mono is None:
+            x, y, z = self.coords
+            mono = (x * x, y * y, z * z, x * y, x * z, y * z)
+            object.__setattr__(self, "_mono", mono)
+        return self._mono
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         if self.field != other.field:
             return False
-        return all(c.is_zero() for c in cross(self.coords, other.coords))
+        return self.identity() == other.identity()
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(self.identity())
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -198,13 +221,17 @@ class PlaneCurve:
     def evaluate(self, p: ProjPoint) -> FieldElement:
         if self.form is CurveForm.LINE:
             return dot(self.coeffs, p.coords)
-        x, y, z = p.coords
-        return dot(self.coeffs, (x * x, y * y, z * z, x * y, x * z, y * z))
+        return dot(self.coeffs, p.monomials())
 
     def gradient(self, p: ProjPoint) -> tuple[FieldElement, ...]:
+        """S p for a conic, kept on p per conic; the coefficients for a line."""
         if self.form is CurveForm.LINE:
             return self.coeffs
-        return mat_vec(self._matrix, p.coords)
+        if p._grads is None:
+            object.__setattr__(p, "_grads", {})
+        if self not in p._grads:
+            p._grads[self] = mat_vec(self._matrix, p.coords)
+        return p._grads[self]
 
     def __str__(self):
         return f"{self.form.value}[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -500,7 +527,7 @@ def _complete_pair(
     X = f(Q)*P3 - B*Q (Q itself when Q is P1 or P2, where f(Q) = 0).
     """
     p1, p2, p3 = known
-    fr, gr = _conic_bilinear(f, p1, p2), _conic_bilinear(g, p1, p2)
+    fr, gr = dot(p1.coords, f.gradient(p2)), dot(p1.coords, g.gradient(p2))
     fp3 = f.gradient(p3)
     m = [gr * a - fr * b for a, b in zip(fp3, g.gradient(p3))]
     q = ProjPoint(cross(cross(p1.coords, p2.coords), m))
@@ -619,10 +646,10 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
 
     Pairs are taken in lexicographic order, and a pair is skipped once
     its Bezout number of distinct common points is known: 4 for two
-    conics, 1 for two lines.  Points are keyed by their canonical
-    ``sort_key``, so the known points are distinct, and two distinct
-    irreducible curves whose intersection numbers sum to the Bezout
-    number, each at least 1, meet transversally at those points and
+    conics, 1 for two lines.  Points are keyed by their integer
+    :meth:`~ProjPoint.identity`, so the known points are distinct, and
+    two distinct irreducible curves whose intersection numbers sum to the
+    Bezout number, each at least 1, meet transversally at those points and
     nowhere else (Fulton, *Algebraic Curves*, 5.3).  Intersecting a
     skipped pair would return exactly those points, each with
     multiplicity 1: it could neither raise nor add a curve to a point.
@@ -644,6 +671,9 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     premises, and probing only learns earlier what intersecting (i, j)
     returns: the profile and the first error do not change.  Lines, and
     pairs with three known points, are not probed.
+
+    A point keeps its monomials and its gradient per conic, so probing
+    and completion compute them once per recorded point object.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -689,7 +719,7 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
                     pair=(i, j),
                     point=pt,
                 )
-            members = on_curves.setdefault(pt.sort_key(), set())
+            members = on_curves.setdefault(pt.identity(), set())
             record(pt, i, members)
             record(pt, j, members)
 

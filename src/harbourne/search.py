@@ -163,9 +163,13 @@ def minimize_h(query: SearchQuery) -> SearchResult:
 def _count_t_vectors(query: SearchQuery) -> int:
     """Number of profiles :func:`enumerate_profiles` yields.
 
-    Coefficient of x^budget in prod_r 1/(1 - x^C(r,2)) over r = 2..r_max.
+    Coefficient of x^budget in prod_r 1/(1 - x^C(r,2)) over r = 2..r_max:
+    in closed form for r_max <= 3, where t_3 = 0..budget // 3 fixes t_2,
+    so a k = 3 query holds no list of budget + 1 ints.
     """
     budget, r_max = _shape(query)
+    if r_max <= 3:
+        return budget // 3 + 1 if r_max == 3 else 1
     ways = [1] * (budget + 1)  # r = 2 alone: t_2 takes any amount
     for r in range(3, r_max + 1):
         part = comb(r, 2)

@@ -522,6 +522,25 @@ def test_search_refuses_a_budget_past_the_cap_at_once():
     )
 
 
+def test_search_just_under_the_budget_cap_is_small():
+    # budget 3 * 1999**2 = 11,988,003 passes the real cap; a count by the
+    # generating function held budget + 1 ints (about 475 MB)
+    assert 3 * 1999**2 + 1 <= search.MAX_MOMENT_STATES
+    argv = ["search", "--class", "plane-curve-p2:1999", "--k", "3", "--machine"]
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "r = subprocess.run([sys.executable, '-m', 'harbourne', *sys.argv[1:]],"
+        " capture_output=True, text=True, timeout=20)\n"
+        "rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([r.returncode, r.stdout, rss_kb]))\n"
+    )
+    r = run_python(["-c", probe, *argv], timeout=30)
+    code, out, rss_kb = json.loads(r.stdout)
+    assert code == 0
+    assert json.loads(out)["enumerated_count"] == 1999**2 + 1  # budget // 3 + 1
+    assert rss_kb < 100 * 1024
+
+
 def test_search_budget_cap_boundary(monkeypatch, capsys):
     def count(query):
         raise AssertionError("counted before the budget was capped")

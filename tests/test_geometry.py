@@ -864,6 +864,79 @@ def test_forms_match_their_term_by_term_formulas(name):
         checked += 1
 
 
+def _random_point(rng, field, zeros=True):
+    coords = [_random_element(rng, field) for _ in range(3)]
+    if zeros:
+        for i in rng.sample(range(3), rng.randint(0, 2)):
+            coords[i] = field.zero()
+    if all(c.is_zero() for c in coords):
+        coords[rng.randrange(3)] = field.one()
+    return ProjPoint(tuple(coords))
+
+
+def _nonzero_scaling(rng, field):
+    while True:
+        s = _random_element(rng, field)
+        if not s.is_zero():
+            return s
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_point_identity_is_projective(name):
+    """Scalings of one point share identity, hash and sort key; points
+    that are not proportional have different identities."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"identity:{name}")
+    pts = [_random_point(rng, field) for _ in range(40)]
+    for p in pts:
+        scale = _nonzero_scaling(rng, field)
+        twin = ProjPoint(tuple(c * scale for c in p.coords))
+        canon = p.canonical().coords
+        assert p.identity() == twin.identity() == tuple((c.num, c.den) for c in canon)
+        assert twin == p and hash(twin) == hash(p) and twin.sort_key() == p.sort_key()
+    pairs = 0
+    for p, q in combinations(pts, 2):
+        proportional_ = all(c.is_zero() for c in G.cross(p.coords, q.coords))
+        assert (p.identity() == q.identity()) is (p == q) is proportional_
+        pairs += not proportional_
+    assert pairs > 700
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_cached_monomials_and_gradients_match_the_formulas(name):
+    """A point keeps its own monomials and gradients, even when a scaled
+    copy of it was evaluated first: the copy's are those of its coordinates."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"caches:{name}")
+    checked = 0
+    while checked < 20:
+        try:
+            conics = [conic(field, *(_random_element(rng, field) for _ in range(6)))
+                      for _ in range(2)]
+        except GeometryError:  # degenerate
+            continue
+        p = _random_point(rng, field, zeros=checked % 2 == 0)
+        s = _nonzero_scaling(rng, field)
+        twin = ProjPoint(tuple(c * s for c in p.coords))
+        for pt in (twin, p):
+            x, y, z = pt.coords
+            assert pt.monomials() == (x * x, y * y, z * z, x * y, x * z, y * z)
+            assert pt.monomials() is pt.monomials()
+            for k in conics:
+                a, b, c, d, e, f = k.coeffs
+                grad = k.gradient(pt)
+                assert grad == (
+                    2 * a * x + d * y + e * z,
+                    d * x + 2 * b * y + f * z,
+                    e * x + f * y + 2 * c * z,
+                )
+                assert k.gradient(pt) is grad
+                assert k.evaluate(pt) == _conic_by_terms(k, pt)
+        for k in conics:
+            assert k.gradient(twin) == tuple(s * g for g in k.gradient(p))
+        checked += 1
+
+
 class TestConicConicPath:
     def test_four_base_points_from_one_split_member(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
@@ -1362,6 +1435,22 @@ class TestExtractProfileSkipsKnownPairs:
         monkeypatch.setattr(exactfield, "_element", counting)
         assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
         assert len(built) <= 12_000
+
+    def test_seven_point_conics_build_at_most_8000_elements(self, monkeypatch):
+        """Each point's identity, monomials and gradients per conic are
+        computed once, not once per pair that reads them."""
+        conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
+        config = GeometricConfiguration(Q, tuple(conics))
+        built = []
+        original = exactfield._element
+
+        def counting(*args):
+            built.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(exactfield, "_element", counting)
+        assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
+        assert len(built) <= 8_000
 
     def test_cremona_image_conics_make_1_call_and_12_completions(
         self, intersect_calls, completions

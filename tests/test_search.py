@@ -112,6 +112,15 @@ class TestEnumerate:
         for p in enumerate_profiles(SearchQuery(CONICS, 5)):
             assert validate(p).ok
 
+    @pytest.mark.parametrize("k, tk0", [(3, False), (3, True), (4, True)])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 7, 40])
+    def test_closed_form_count_at_r_max_3_or_less(self, degree, k, tk0):
+        # r_max = 3 or 2: the count is budget // 3 + 1 or 1, not the
+        # generating function's list of budget + 1 ints
+        query = SearchQuery(plane_curves(degree), k, require_tk_zero=tk0)
+        walked = sum(1 for _ in enumerate_profiles(query))
+        assert search._count_t_vectors(query) == walked
+
 
 class TestQueryGates:
     def test_lt_filter_needs_conics(self):

@@ -10,8 +10,9 @@ import sympy
 from conftest import swinnerton_dyer
 from hypothesis import assume, given, settings, strategies as st
 
-from harbourne import _zpoly
+from harbourne import _zpoly, exactfield
 from harbourne.exactfield import (
+    RATIONALS,
     ExactField,
     FieldError,
     _number_field_roots,
@@ -284,3 +285,97 @@ class TestNumberFieldRoots:
         theta = SQRT5.generator()
         assert _number_field_roots(poly, SQRT5) == _sympy_number_field_roots(poly, SQRT5)
         assert set(_number_field_roots(poly, SQRT5)) == {theta, -theta}
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls that roots_in_field makes to exactfield's names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(exactfield, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(exactfield, name, counting)
+    return calls
+
+
+def _norm_squarefree_at_shift_0(poly, field):
+    d = field.degree
+    nums, _ = _over_common_den((n, c.den) for c in kx_monic(poly) for n in c.num)
+    norm = _zpoly.integer_norm([nums[i : i + d] for i in range(0, len(nums), d)], field._table)
+    return _zpoly.factor_squarefree(norm) is not None
+
+
+class TestSquarefreeFirst:
+    """The factorizer decides square-freeness before any square-free chain,
+    and a split polynomial's last root comes from Vieta, not from a gcd."""
+
+    @pytest.mark.parametrize("field", [SQRT5, CBRT2, ZETA5], ids=["sqrt5", "cbrt2", "zeta5"])
+    def test_split_polynomials_take_n_minus_1_gcds(self, monkeypatch, field):
+        rng = random.Random(f"vieta:{field.degree}")
+        at_shift_0 = 0
+        for _ in range(8):
+            roots = []
+            while len(roots) < rng.randint(2, 4):
+                r = _random_element(rng, field)
+                if r not in roots:
+                    roots.append(r)
+            scale = _random_element(rng, field)
+            if scale.is_zero():
+                continue
+            poly = [c * scale for c in _random_kx(rng, field, roots, 0)]
+            want = _sympy_number_field_roots(poly, field)  # a gcd for every root
+            calls = _count_calls(monkeypatch, "kx_gcd", "kx_derivative")
+            got = roots_in_field(poly, field)
+            monkeypatch.undo()
+            assert got == [(r, 1) for r in want] and set(want) == set(roots)
+            if _norm_squarefree_at_shift_0(poly, field):
+                at_shift_0 += 1
+                assert calls == {"kx_gcd": len(roots) - 1, "kx_derivative": 0}
+        assert at_shift_0 >= 4, at_shift_0
+
+    def test_squarefree_rational_polynomials_take_no_gcd(self, monkeypatch):
+        rng = random.Random("squarefree over Q")
+        for _ in range(10):
+            roots = {F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))}
+            poly = [RATIONALS.element(c) for c in (rng.randint(-5, 5), 0, 1)]  # x^2 + c
+            for r in roots:
+                poly = _kx_mul(poly, [RATIONALS.element(-r), RATIONALS.one()])
+            if len(kx_gcd(poly, kx_derivative(poly))) > 1:
+                continue  # c = 0 or -r^2: a repeated root
+            calls = _count_calls(monkeypatch, "kx_gcd", "kx_derivative")
+            got = roots_in_field(poly, RATIONALS)
+            monkeypatch.undo()
+            assert calls == {"kx_gcd": 0, "kx_derivative": 0}
+            assert {r.as_rational() for r, m in got if m == 1} >= roots
+            assert all(m == 1 for _, m in got)
+
+    def test_a_squarefree_polynomial_with_a_repeated_norm_resumes_at_shift_1(self, monkeypatch):
+        # x^2 - 5 over Q(sqrt 5): the norm at shift 0 is (x^2 - 5)^2, so the
+        # chain runs, finds x^2 - 5 square-free, and the shifts go on from 1
+        theta = SQRT5.generator()
+        poly = [SQRT5.element(-5), SQRT5.zero(), SQRT5.one()]
+        calls = _count_calls(monkeypatch, "kx_derivative")
+        got = roots_in_field(poly, SQRT5)
+        monkeypatch.undo()
+        assert calls == {"kx_derivative": 1}
+        assert got == [(r, 1) for r in _sympy_number_field_roots(poly, SQRT5)]
+        assert {r for r, _ in got} == {theta, -theta}
+
+    @pytest.mark.parametrize("field", [RATIONALS, SQRT5, CBRT2], ids=["Q", "sqrt5", "cbrt2"])
+    def test_repeated_roots_run_the_chain(self, monkeypatch, field):
+        rng = random.Random(f"repeated:{field.degree}")
+        for _ in range(4):
+            a, b = _random_element(rng, field), _random_element(rng, field)
+            if a == b:
+                continue
+            poly = _random_kx(rng, field, [a, a, b, a], rng.randint(0, 2))
+            calls = _count_calls(monkeypatch, "kx_derivative")
+            got = roots_in_field(poly, field)
+            monkeypatch.undo()
+            assert calls["kx_derivative"] >= 2
+            assert {r: m for r, m in got if r in (a, b)} == {a: 3, b: 1}
+            if field is not RATIONALS:
+                assert [r for r, _ in got] == _sympy_number_field_roots(poly, field)
