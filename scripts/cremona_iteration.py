@@ -12,19 +12,21 @@ import sys
 from fractions import Fraction
 
 from harbourne.cremona import iterate_law
+from harbourne.documents import DocumentError, parse_rational
 from harbourne.hconst import format_decimal
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--h0", type=Fraction, default=Fraction(-3))
+    parser.add_argument("--h0", default="-3", help="a rational p or p/q")
     parser.add_argument("--s0", type=int, default=49)
     parser.add_argument("--steps", type=int, default=8)
     args = parser.parse_args(argv)
 
     try:
-        steps = iterate_law(args.h0, args.s0, args.steps)
-    except ValueError as err:
+        h0 = parse_rational(args.h0, "--h0")
+        steps = iterate_law(h0, args.s0, args.steps)
+    except (DocumentError, ValueError) as err:
         parser.error(str(err))
     print(f"{'step':>4}  {'s':>6}  {'degree x':>8}  {'h':>16}  {'decimal':>9}")
     for idx, step in enumerate(steps):
@@ -33,7 +35,7 @@ def main(argv=None) -> int:
             f"{str(step.h):>16}  {format_decimal(step.h, 4):>9}"
         )
     final = steps[-1]
-    telescoped = args.h0 * Fraction(args.s0, args.s0 + 3 * args.steps)
+    telescoped = h0 * Fraction(args.s0, args.s0 + 3 * args.steps)
     assert final.h == telescoped
     print(f"\ntelescoped closed form h0*s0/(s0+3n) = {telescoped} confirmed")
     return 0

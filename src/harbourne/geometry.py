@@ -25,13 +25,11 @@ the line from the projection centre to each in-field root of the
 resultant meets the first conic, and a point of it on the second conic
 is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
-:func:`extract_profile` intersects only the pairs whose common points
-are not already known.  A conic pair with fewer than three of them known
-first tests the second conic at the points found on the first.  Then a
-pair with as many known distinct common points as its Bezout number is
-skipped, and a conic pair with three of them is completed linearly from
-the pencil member through them that splits.  Each conic keeps its
-matrix S from construction.
+:func:`extract_profile` lists each point with every curve through it when
+a pair first finds it.  A pair with as many listed common points as its
+Bezout number is skipped, a conic pair with three is completed linearly
+from the pencil member through them that splits, and any other pair is
+intersected.  Each conic keeps its matrix S from construction.
 """
 
 from __future__ import annotations
@@ -644,9 +642,17 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     the resulting profile must satisfy its incidence identity (Bezout),
     so a validation failure aborts as an internal error.
 
-    Pairs are taken in lexicographic order, and a pair is skipped once
-    its Bezout number of distinct common points is known: 4 for two
-    conics, 1 for two lines.  Points are keyed by their integer
+    Pairs are taken in lexicographic order.  When a pair (i, j) first
+    finds a point P, by intersection or by completion, each later curve
+    m > j is evaluated at P once, and P is listed with {i, j} and the m
+    that vanish there.  That set is exact: were P on a curve m < j other
+    than i, the earlier pair (m, i) or (i, m) would have found P, as it
+    was intersected, completed (which gives all its common points) or
+    skipped (which needs all of them listed).  So a pair's known common points are
+    the listed points with both its curves.
+
+    A pair with its Bezout number of known points, 4 for two conics and 1
+    for two lines, is skipped.  Points are keyed by their integer
     :meth:`~ProjPoint.identity`, so the known points are distinct, and
     two distinct irreducible curves whose intersection numbers sum to the
     Bezout number, each at least 1, meet transversally at those points and
@@ -654,26 +660,21 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     skipped pair would return exactly those points, each with
     multiplicity 1: it could neither raise nor add a curve to a point.
 
-    A conic pair with three known distinct common points P1, P2, P3 is
-    completed without root finding (:func:`_complete_pair`): the pencil
-    member through P1, P2 and a third point of the line P1P2 splits as
-    that line times a line M through P3 (Fulton, 3.3), M meets the first
-    conic again in one point X, found linearly, and I_P(f, g) is 1 at
-    each known point plus 1 where P = X.  The list is the one intersect
-    returns: the same canonical points in the same order, with the same
-    multiplicities.  So the profile, and the first error with the pair
-    and point it names, are those of intersecting every pair.
+    A conic pair with three known points P1, P2, P3 is completed without
+    root finding (:func:`_complete_pair`): the pencil member through P1,
+    P2 and a third point of the line P1P2 splits as that line times a line
+    M through P3 (Fulton, 3.3), M meets the first conic again in one point
+    X, found linearly, and I_P(f, g) is 1 at each known point plus 1 where
+    P = X.  The list is the one intersect returns: the same canonical
+    points in the same order, with the same multiplicities.  Any other
+    pair is intersected.  A pair that intersect rejects as outside the
+    field has at most two in-field common points, so it is intersected,
+    and a tangent pair has fewer than four, so it is never skipped.  So
+    the profile, and the first error with the pair and point it names,
+    are those of intersecting every pair.
 
-    Before that rule, a conic pair (i, j) with fewer than three known
-    common points is probed: curve j is evaluated at each point found so
-    far on curve i but not on j, and each exact zero is recorded as on j.
-    A zero is a true common point, so skipping and completion keep their
-    premises, and probing only learns earlier what intersecting (i, j)
-    returns: the profile and the first error do not change.  Lines, and
-    pairs with three known points, are not probed.
-
-    A point keeps its monomials and its gradient per conic, so probing
-    and completion compute them once per recorded point object.
+    A point keeps its monomials and its gradient per conic, so the
+    evaluations and completions compute them once per listed point.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -683,48 +684,36 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
         raise MixedClassesError("curves must be all lines or all conics")
     cls = LINES if forms == {CurveForm.LINE} else CONICS
 
-    # curves i and j both pass through a point exactly when intersect(i, j)
-    # returns it, so the pairs give each point's curves; shared[(i, j)]
-    # lists the distinct known points on both, and found_on[c] those on c,
-    # each with its set of curves
+    # the incidence table: each point's identity maps to the point and its
+    # curves, fixed when a pair first finds it; on_i holds the rows on curve i
     bezout = curves[0].degree ** 2
-    on_curves: dict = {}
-    shared: dict[tuple[int, int], list[ProjPoint]] = {}
-    found_on = [[] for _ in curves]
-
-    def record(pt, c, members):
-        if c not in members:
-            for m in members:
-                shared.setdefault((min(c, m), max(c, m)), []).append(pt)
-            members.add(c)
-            found_on[c].append((pt, members))
-
-    for i, j in combinations(range(len(curves)), 2):
-        known = shared.setdefault((i, j), [])
-        if bezout == 4 and len(known) < 3:
-            for pt, members in found_on[i]:
-                if j not in members and curves[j].evaluate(pt).is_zero():
-                    record(pt, j, members)
-        if len(known) == bezout:
-            continue
-        if len(known) == 3:
-            pts = _complete_pair(curves[i], curves[j], known)
-        else:
-            pts = intersect(curves[i], curves[j])
-        for pt, mult in pts:
-            if mult > 1:
-                raise NonTransversalIntersection(
-                    f"curves {i} and {j} meet at {pt.canonical()} with "
-                    f"multiplicity {mult}",
-                    pair=(i, j),
-                    point=pt,
-                )
-            members = on_curves.setdefault(pt.identity(), set())
-            record(pt, i, members)
-            record(pt, j, members)
+    table: dict[tuple, tuple[ProjPoint, set[int]]] = {}
+    for i in range(len(curves)):
+        on_i = [row for row in table.values() if i in row[1]]
+        for j in range(i + 1, len(curves)):
+            known = [pt for pt, members in on_i if j in members]
+            if len(known) == bezout:
+                continue
+            if len(known) == 3:
+                pts = _complete_pair(curves[i], curves[j], known)
+            else:
+                pts = intersect(curves[i], curves[j])
+            for pt, mult in pts:
+                if mult > 1:
+                    raise NonTransversalIntersection(
+                        f"curves {i} and {j} meet at {pt.canonical()} with "
+                        f"multiplicity {mult}",
+                        pair=(i, j),
+                        point=pt,
+                    )
+                if pt.identity() not in table:
+                    later = range(j + 1, len(curves))
+                    members = {i, j, *(m for m in later if incident(curves[m], pt))}
+                    table[pt.identity()] = row = (pt, members)
+                    on_i.append(row)
 
     t: dict[int, int] = {}
-    for members in on_curves.values():
+    for _, members in table.values():
         r = len(members)
         t[r] = t.get(r, 0) + 1
 

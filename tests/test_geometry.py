@@ -1360,15 +1360,17 @@ def _conic_through_points(pts):
     return G.PlaneCurve(G.CurveForm.CONIC, tuple(v2 * x - v1 * y for x, y in zip(d1, d2)))
 
 
-def _probed_at_last(rng, kind):
+def _met_by_last(rng, kind):
     """A conic f through A, B, D, then conics through A, B, D and two random
-    points each, then a last conic g = f + s*L1*L2 in no earlier pair.  So when the pair (0, last) is reached, only probing the points
-    found on f can make any of its common points known.  By kind, g touches
-    f at A and passes through B and D ("tangent": L1 the tangent at A, L2
-    the line BD), passes through A and B ("two": L1 = AB), through A
-    ("one": L1 a line through A), or through none of the points found
-    ("none"); L2 is random unless given.  Returns the curves and A, or None
-    when an earlier pair is not transversal or g is degenerate."""
+    points each, then a last conic g = f + s*L1*L2 in no earlier pair.  So
+    when the pair (0, last) is reached, only the evaluation of g at each
+    point found on f, when that point was first found, can make any of its
+    common points known.  By kind, g touches f at A and passes through B
+    and D ("tangent": L1 the tangent at A, L2 the line BD), passes through
+    A and B ("two": L1 = AB), through A ("one": L1 a line through A), or
+    through none of the points found ("none"); L2 is random unless given.
+    Returns the curves and A, or None when an earlier pair is not
+    transversal or g is degenerate."""
     on_f = _general_integer_points(rng, 5)
     a, b, d = (point(Q, *v) for v in on_f[:3])
     f = conic(Q, *conic_through(on_f))
@@ -1407,57 +1409,57 @@ def _probed_at_last(rng, kind):
     return curves, a
 
 
+def _seven_point_elements(monkeypatch):
+    """The FieldElements built by extract_profile on the 21 conics through
+    five of SEVEN_POINTS."""
+    conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
+    config = GeometricConfiguration(Q, tuple(conics))
+    built = []
+    original = exactfield._element
+
+    def counting(*args):
+        built.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(exactfield, "_element", counting)
+    assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
+    return len(built)
+
+
 class TestExtractProfileSkipsKnownPairs:
     """A pair whose Bezout number of distinct common points is already known
     is not intersected, and a conic pair with three of them known is
     completed; profiles and first errors match the all-pairs loop."""
 
-    def test_seven_point_conics_make_1_call_and_107_completions(
+    def test_seven_point_conics_make_1_call_and_86_completions(
         self, intersect_calls, completions
     ):
         conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
         profile = _assert_matches_all_pairs(conics, intersect_calls)
         assert dict(profile.t) == {2: 72, 3: 11, 15: 7}
-        assert (len(intersect_calls), len(completions)) == (1, 107)
+        assert (len(intersect_calls), len(completions)) == (1, 86)
 
     def test_seven_point_conics_build_at_most_12000_elements(self, monkeypatch):
         """Each form of three or more products is summed in one reduction
         (exactfield.dot), not one FieldElement per product and partial sum."""
-        conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
-        config = GeometricConfiguration(Q, tuple(conics))
-        built = []
-        original = exactfield._element
-
-        def counting(*args):
-            built.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(exactfield, "_element", counting)
-        assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
-        assert len(built) <= 12_000
+        assert _seven_point_elements(monkeypatch) <= 12_000
 
     def test_seven_point_conics_build_at_most_8000_elements(self, monkeypatch):
         """Each point's identity, monomials and gradients per conic are
         computed once, not once per pair that reads them."""
-        conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
-        config = GeometricConfiguration(Q, tuple(conics))
-        built = []
-        original = exactfield._element
+        assert _seven_point_elements(monkeypatch) <= 8_000
 
-        def counting(*args):
-            built.append(None)
-            return original(*args)
+    def test_seven_point_conics_build_at_most_6500_elements(self, monkeypatch):
+        """Each point's later curves are evaluated once, when it is first
+        found, not again for every pair whose known points are counted."""
+        assert _seven_point_elements(monkeypatch) <= 6_500
 
-        monkeypatch.setattr(exactfield, "_element", counting)
-        assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
-        assert len(built) <= 8_000
-
-    def test_cremona_image_conics_make_1_call_and_12_completions(
+    def test_cremona_image_conics_make_1_call_and_9_completions(
         self, intersect_calls, completions
     ):
         profile = _assert_matches_all_pairs(_cremona_image_conics(), intersect_calls)
         assert dict(profile.t) == {2: 6, 3: 3, 4: 1, 7: 3}
-        assert (len(intersect_calls), len(completions)) == (1, 12)
+        assert (len(intersect_calls), len(completions)) == (1, 9)
 
     def test_first_error_at_a_completed_pair(self, intersect_calls, completions):
         rng = random.Random("touching at a known point")
@@ -1525,14 +1527,15 @@ class TestExtractProfileSkipsKnownPairs:
     def test_first_error_at_a_pair_completed_from_probed_points(
         self, intersect_calls, completions
     ):
-        """g touches f at A, and f's earlier pairs found A, B and D: probing
-        makes (0, last) a completion, which raises where intersect would."""
+        """g touches f at A, and f's earlier pairs found A, B and D and listed
+        g at each: (0, last) is a completion, which raises where intersect
+        would."""
         rng = random.Random("probed tangent")
         roles = set()
         for _ in range(8):
             made = None
             while made is None:
-                made = _probed_at_last(rng, "tangent")
+                made = _met_by_last(rng, "tangent")
             curves, a = made
             completions.clear()
             err = _assert_matches_all_pairs(curves, intersect_calls)
@@ -1547,11 +1550,12 @@ class TestExtractProfileSkipsKnownPairs:
     @pytest.mark.parametrize("kind, known", [("two", 2), ("one", 1), ("none", 0)])
     def test_outside_field_after_probing(self, kind, known, intersect_calls):
         """g meets f in `known` of the points found on f and in points
-        outside Q: probing leaves the pair to intersect, which raises."""
+        outside Q: with fewer than three known points the pair is
+        intersected, which raises."""
         rng = random.Random(f"probed outside {kind}")
         done = 0
         while done < 3:
-            made = _probed_at_last(rng, kind)
+            made = _met_by_last(rng, kind)
             if made is None:
                 continue
             curves, _ = made

@@ -153,19 +153,29 @@ def test_klein_lines_and_their_cremona_image(klein, monkeypatch):
     assert local_h(profile).h == -3
 
     assert len(singular) == 49
-    # all 21 conics pass through the three base points: once the first pair
-    # has found them, probing finds them on every later conic, so only that
-    # pair is intersected, and the 106 pairs not skipped by Bezout are
-    # completed
+    # all 21 conics pass through the three base points: the first pair finds
+    # them and lists every conic through each, so only that pair is
+    # intersected, and the 48 pairs that meet in a new fourth point are
+    # completed; every other pair has its four points listed and is skipped
     intersect_calls = _counting(monkeypatch, "intersect")
     completions = _counting(monkeypatch, "_complete_pair")
     image = extract_profile(GeometricConfiguration(PHI7, conics))
-    assert (len(intersect_calls), len(completions)) == (1, 106)
+    assert (len(intersect_calls), len(completions)) == (1, 48)
     assert dict(image.t) == {3: 28, 4: 21, 21: 3}
     assert local_h(image).h == F(-147, 52)
 
     fixture = next(f for f in _FIXTURES if f["name"].startswith("klein-conics"))
     assert dict(image.t) == fixture["t_expect"] and local_h(image).h == fixture["h"]
+
+
+def test_klein_lines_are_intersected_once_per_point(klein, monkeypatch):
+    """Each of the 49 points is listed with all its lines when first found,
+    so every later pair of lines through it is skipped."""
+    lines = klein[1]
+    intersect_calls = _counting(monkeypatch, "intersect")
+    profile = extract_profile(GeometricConfiguration(PHI7, tuple(lines)))
+    assert dict(profile.t) == {3: 28, 4: 21}
+    assert len(intersect_calls) == 49
 
 
 def test_completion_matches_intersect_on_a_klein_pair(klein):

@@ -82,6 +82,8 @@ def test_cremona_iteration_prints_the_telescoped_trajectory(capsys):
         ("cremona_iteration", ["--steps", "-1"], "n must be >= 0"),
         ("cremona_iteration", ["--s0", "0"], "s0 must be >= 1"),
         ("negativity_sweep", ["--kmin", "2"], "search requires k >= 3, got k=2"),
+        ("cremona_iteration", ["--h0", "1/0"], "--h0: not a rational: '1/0'"),
+        ("cremona_iteration", ["--h0", "1e1000"], "--h0: not a rational: '1e1000'"),
     ],
 )
 def test_scripts_report_bad_arguments_without_a_traceback(capsys, script, argv, message):
