@@ -11,6 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from harbourne.cli import _plain_int
 from harbourne.cremona import iterate_law
 from harbourne.documents import DocumentError, parse_rational
 from harbourne.hconst import format_decimal
@@ -19,8 +20,8 @@ from harbourne.hconst import format_decimal
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--h0", default="-3", help="a rational p or p/q")
-    parser.add_argument("--s0", type=int, default=49)
-    parser.add_argument("--steps", type=int, default=8)
+    parser.add_argument("--s0", type=_plain_int, default=49)
+    parser.add_argument("--steps", type=_plain_int, default=8)
     args = parser.parse_args(argv)
 
     try:

@@ -12,6 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from harbourne.cli import _plain_int
 from harbourne.hconst import format_decimal
 from harbourne.profiles import CONICS
 from harbourne.search import (
@@ -54,13 +55,15 @@ def sweep(kmin: int, kmax: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kmin", type=int, default=3)
-    parser.add_argument("--kmax", type=int, default=9)
+    parser.add_argument("--kmin", type=_plain_int, default=3)
+    parser.add_argument("--kmax", type=_plain_int, default=9)
     args = parser.parse_args(argv)
     try:  # refuse a bad --kmin before the header is printed
         SearchQuery(CONICS, args.kmin, require_tk_zero=True)
     except SearchQueryError as err:
         parser.error(str(err))
+    if args.kmax < args.kmin:
+        parser.error(f"--kmax must be >= --kmin, got kmin={args.kmin}, kmax={args.kmax}")
     sweep(args.kmin, args.kmax)
     return 0
 

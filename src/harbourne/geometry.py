@@ -15,15 +15,14 @@ in-field points do not account for the full Bezout count the operation
 fails with IntersectionOutsideField, and the caller picks a larger field
 explicitly.  Conic pairs are intersected by pencil degeneration: the
 degenerate members are the roots of the closed-form binary cubic
-det(lam*Sf + mu*Sg), the first one that splits over the field into
-lines gives every in-field common point, and each point's exact local
-multiplicity is the sum of the multiplicities with which the two lines
-meet the first conic.  When no member splits, at most one common point
-is in the field, and it is simple.  The closed-form resultant of the
-first coordinate projection that does not vanish identically finds it:
-the line from the projection centre to each in-field root of the
-resultant meets the first conic, and a point of it on the second conic
-is the lone point.
+det(lam*Sf + mu*Sg).  The common points of two members that split over
+the field are the crossings of their lines, counted per crossing; of
+one, where its lines meet the first conic.  When no member splits, at
+most one common point is in the field, and it is simple.  The
+closed-form resultant of the first coordinate projection that does not
+vanish identically finds it: the line from the projection centre to each
+in-field root of the resultant meets the first conic, and a point of it
+on the second conic is the lone point.
 No field inverse is taken here outside :meth:`ProjPoint.canonical`.
 :func:`extract_profile` lists each point with every curve through it when
 a pair first finds it.  A pair with as many listed common points as its
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 from .exactfield import ExactField, FieldElement, dot, roots_in_field
@@ -442,9 +441,11 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     The degenerate members h = lam*f + mu*g are the roots of the binary
     cubic det(lam*Sf + mu*Sg), and mu != 0 since f is nondegenerate.  So
     I_P(f, g) = I_P(f, h), and I_P is additive over the components of h
-    (Fulton, *Algebraic Curves*, 3.3): the first member that splits over
-    the field into lines L1, L2 gives every in-field base point, with
-    multiplicity I_P(f, L1) + I_P(f, L2).  A double line counts twice.
+    (Fulton, *Algebraic Curves*, 3.3).  Two split members h1 = L1*L2 and
+    h2 = L3*L4 span the pencil and share no line, which f would contain,
+    so I_P(f, g) = I_P(h1, h2) counts the pairs (i, j) with Li x Lj = P,
+    a double line twice.  With h1 alone split, as for contacts (3,1) and
+    (4) or base points outside the field, I_P = I_P(f, L1) + I_P(f, L2).
 
     When no member splits, at most one base point is in the field and it
     is simple.  Galois permutes the base points and keeps their
@@ -473,19 +474,23 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     cubic = [det3(sg), trace(adjugate3(sg), sf), trace(adjugate3(sf), sg), det3(sf)]
     roots, _ = binary_form_roots(cubic, field)
     members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
-    lines = next((ls for ls in members if ls is not None), None)
+    split = list(islice(filter(None, members), 2))
 
-    if lines is None:
+    if not split:
         pts = [(pt, 1) for pt in _resultant_candidates(f, g)]
         if len(pts) > 1:
             raise AssertionError("no member splits, yet two base points are in K")
     else:
+        if len(split) == 2:
+            on_lines = [(ProjPoint(cross(a.coeffs, b.coeffs)).canonical(), 1)
+                        for a in split[0] for b in split[1]]
+        else:
+            on_lines = [pm for l in split[0] for pm in _line_conic(l, f)[0]]
         hits: dict[ProjPoint, int] = {}
-        for l in lines:
-            for pt, mult in _line_conic(l, f)[0]:
-                if not g.evaluate(pt).is_zero():
-                    raise AssertionError("split pencil member meets f off g")
-                hits[pt] = hits.get(pt, 0) + mult
+        for pt, mult in on_lines:
+            hits[pt] = hits.get(pt, 0) + mult
+        if not all(incident(f, pt) and incident(g, pt) for pt in hits):
+            raise AssertionError("split pencil members meet off the base points")
         pts = sorted(hits.items(), key=lambda pm: pm[0].sort_key())
 
     if not pts:

@@ -938,11 +938,11 @@ def test_cached_monomials_and_gradients_match_the_formulas(name):
 
 
 class TestConicConicPath:
-    def test_four_base_points_from_one_split_member(self, monkeypatch):
+    def test_four_base_points_from_two_split_members(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
         pts = intersect(CIRCLE2, HYPER)
         assert len(pts) == 4 and all(m == 1 for _, m in pts)
-        assert len(splits) == 1
+        assert len(splits) == 2
 
     def test_osculating_pair_from_one_split_member(self, monkeypatch):
         # the only degenerate member is the tangent line at (1:1:1), doubled
@@ -999,14 +999,137 @@ class TestConicConicPath:
         assert err.value.found == []
         assert splits == [] and fallback == [[]]
 
-    def test_tangential_pair_from_one_split_member(self, monkeypatch):
+    def test_tangential_pair_from_two_split_members(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
         fallback = _counted(monkeypatch, "_resultant_candidates")
         a = conic(GAUSS, 1, 1, -1, 0, 0, 0)
         b = conic(GAUSS, 1, 1, -3, 0, 0, 0)
         assert [m for _, m in intersect(a, b)] == [2, 2]
-        assert sum(lines is not None for lines in splits) == 1
+        assert sum(lines is not None for lines in splits) == 2
         assert fallback == []
+
+    def test_transversal_pair_solves_three_polynomials(self, monkeypatch):
+        # over Q(sqrt5): the pencil cubic and one quadratic per split member;
+        # the base points are the crossings of the two members' lines
+        solved = _counted(monkeypatch, "binary_form_roots")
+        splits = _counted(monkeypatch, "_split_degenerate")
+        line_conic = _counted(monkeypatch, "_line_conic")
+        rng = random.Random("three polynomials")
+        (f, g, _), = _oracle_pairs(rng, ORACLE_FIELDS["sqrt5"], "transversal", 1)
+        assert [m for _, m in intersect(f, g)] == [1, 1, 1, 1]
+        assert len(solved) == 3 and len(splits) == 2 and line_conic == []
+
+
+def _one_member_intersect(f, g):
+    """intersect(f, g) for two conics read off one pencil member: the lines
+    of the first member that splits are met with f, and each point's
+    multiplicity is the sum of theirs.  The resultant fallback serves when
+    no member splits."""
+    field = f.field
+    sf, sg = f._matrix, g._matrix
+    cubic = [G.det3(sg), None, None, G.det3(sf)]
+    for k, (s, t) in ((1, (sf, sg)), (2, (sg, sf))):
+        adj = G.adjugate3(t)
+        cubic[k] = sum((adj[i][j] * s[j][i] for i in range(3) for j in range(3)), field.zero())
+    roots, _ = G.binary_form_roots(cubic, field)
+    members = (
+        tuple(tuple(lam * sf[i][j] + mu * sg[i][j] for j in range(3)) for i in range(3))
+        for (lam, mu), _ in roots
+    )
+    lines = next(filter(None, (G._split_degenerate(m, field) for m in members)), None)
+    if lines is None:
+        pts = [(pt, 1) for pt in G._resultant_candidates(f, g)]
+    else:
+        hits = {}
+        for l in lines:
+            for pt, mult in G._line_conic(l, f)[0]:
+                assert incident(g, pt)
+                hits[pt] = hits.get(pt, 0) + mult
+        pts = sorted(hits.items(), key=lambda pm: pm[0].sort_key())
+    found = sum(m for _, m in pts)
+    if not pts:
+        raise IntersectionOutsideField(
+            f"conic pair has no in-field intersection point of 4 over {field.label()}",
+            found=[],
+            expected=4,
+        )
+    if found < 4:
+        raise IntersectionOutsideField(
+            f"conic pair meets in {found} in-field point(s) of 4 over {field.label()}",
+            found=pts,
+            expected=4,
+        )
+    return pts
+
+
+# the base-point multiplicities of each kind of pair, in turn; None where
+# two base points lie outside the field
+CROSS_CHECK_KINDS = {
+    "four points": [1, 1, 1, 1],  # g through P1..P4 and P6
+    "tangent": [1, 1, 2],  # g = f + lam*T*P2P3, T the tangent of f at P1
+    "bitangent": [2, 2],  # g = f + lam*(P2P3)^2
+    "osculating": [1, 3],  # g = f + lam*T*P1P2
+    "outside": None,  # g = f + lam*T*M, M a random line
+}
+
+
+def _cross_check_pairs(rng, field, count):
+    """(f, g, kind) for count conic pairs, f through five random in-field
+    points P1..P5, and g by each kind of CROSS_CHECK_KINDS in turn."""
+
+    def elem():
+        return field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+
+    pairs = []
+    while len(pairs) < count:
+        kind = list(CROSS_CHECK_KINDS)[len(pairs) % len(CROSS_CHECK_KINDS)]
+        pts = _random_field_points(rng, field, 6)
+        if pts is None:
+            continue
+        coords = [p.coords for p in pts]
+        try:
+            f = G.PlaneCurve(G.CurveForm.CONIC, conic_through(coords[:5]))
+            if kind == "four points":
+                g_coeffs = conic_through(coords[:4] + coords[5:])
+            else:
+                t = G.PlaneCurve(G.CurveForm.LINE, f.gradient(pts[0]))
+                secant = _line_through(pts[1], pts[2])
+                l1, l2 = {
+                    "tangent": (t, secant),
+                    "bitangent": (secant, secant),
+                    "osculating": (t, _line_through(pts[0], pts[1])),
+                    "outside": (t, G.PlaneCurve(G.CurveForm.LINE, (elem(), elem(), field.one()))),
+                }[kind]
+                lam = elem() + rng.choice([-3, 3])
+                h = _line_product_conic(l1, l2)
+                g_coeffs = tuple(a + lam * b for a, b in zip(f.coeffs, h))
+            g = G.PlaneCurve(G.CurveForm.CONIC, g_coeffs)
+        except (GeometryError, ValueError):
+            continue  # a degenerate conic
+        if not proportional(f, g):
+            pairs.append((f, g, kind))
+    return pairs
+
+
+def _intersect_outcome(fn, f, g):
+    try:
+        return _exact(fn(f, g)), None
+    except IntersectionOutsideField as err:
+        return _exact(err.found), (str(err), err.expected)
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5", "cbrt2"])
+def test_two_split_members_match_the_one_member_path(name):
+    """intersect gives exactly the list, error message and found points of
+    the path that reads the base points off one split member."""
+    rng = random.Random(f"two members {name}")
+    for f, g, kind in _cross_check_pairs(rng, ORACLE_FIELDS[name], 25):
+        for a, b in ((f, g), (g, f)):
+            got = _intersect_outcome(intersect, a, b)
+            assert got == _intersect_outcome(_one_member_intersect, a, b)
+            want = CROSS_CHECK_KINDS[kind]
+            if want is not None:
+                assert got[1] is None and sorted(m for _, m in got[0]) == want
 
 
 class TestCompletePair:

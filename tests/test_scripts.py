@@ -84,6 +84,12 @@ def test_cremona_iteration_prints_the_telescoped_trajectory(capsys):
         ("negativity_sweep", ["--kmin", "2"], "search requires k >= 3, got k=2"),
         ("cremona_iteration", ["--h0", "1/0"], "--h0: not a rational: '1/0'"),
         ("cremona_iteration", ["--h0", "1e1000"], "--h0: not a rational: '1e1000'"),
+        ("negativity_sweep", ["--kmin", "1_0"], "argument --kmin: invalid int value: '1_0'"),
+        ("negativity_sweep", ["--kmax", "+3"], "argument --kmax: invalid int value: '+3'"),
+        ("cremona_iteration", ["--s0", " 3"], "argument --s0: invalid int value: ' 3'"),
+        ("cremona_iteration", ["--steps", "1_0"], "argument --steps: invalid int value: '1_0'"),
+        ("negativity_sweep", ["--kmin", "5", "--kmax", "4"],
+         "--kmax must be >= --kmin, got kmin=5, kmax=4"),
     ],
 )
 def test_scripts_report_bad_arguments_without_a_traceback(capsys, script, argv, message):
