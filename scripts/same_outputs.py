@@ -8,7 +8,10 @@ parent by ``git archive REV``, the change by ``git archive`` of
 in one fresh interpreter, every command of the four benchmark workloads
 for the seeds 1, 2 and 3, warm-ups included, through its own
 ``perfbench/passrun.run_command``, in its own ``perfbench/workloads``
-order.  The exit code, stdout and stderr of each command are compared
+order.  Then it runs ``geom --machine`` on each document of
+``ERROR_DOCS``, conic pairs and a line pair that ``geom`` refuses, so the
+error paths are compared too: 654 benchmark and 8 error commands in all.
+The exit code, stdout and stderr of each command are compared
 between the sides, with the directory of the workload documents and the
 checkout's root written the same way on both (the ``cli`` parse-error
 command prints a document's path).  The script prints how many commands
@@ -33,7 +36,34 @@ from bench_pairs import export_revision, export_working_tree  # noqa: E402
 SEEDS = (1, 2, 3)
 SHOWN = 10
 
-# Runs in a fresh interpreter: argv is ROOT DOCS OUT and the seeds.
+_Q = {"kind": "rational"}
+_SQRT5 = {"kind": "number-field", "min_poly": [-5, 0, 1]}
+_F = [1, 0, 0, 0, 0, -1]  # X^2 - YZ, through (0:0:1) with tangent Y = 0
+
+
+def _conics(field, *coeffs):
+    return {"field": field, "curves": [{"type": "conic", "coeffs": c} for c in coeffs]}
+
+
+# Documents that geom refuses, written the same way for both sides.  The
+# second conic of each pair is X^2 - YZ plus a multiple of Y = 0 times a
+# line: through (1:1:1) and (2:4:1) (tangent), through (0:0:1) and (1:1:1)
+# (osculating).  The outside pair meets in (+-sqrt 2 : +-1 : 1).  The
+# completed pair is tangent at a point that the first conic finds with both.
+ERROR_DOCS = {
+    "tangent-q": _conics(_Q, _F, [1, 1, 0, -3, 0, 1]),
+    "tangent-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -3], 0, [-1, 2]]),
+    "osculating-q": _conics(_Q, _F, [1, 1, 0, -1, 0, -1]),
+    "osculating-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -1], 0, -1]),
+    "outside-q": _conics(_Q, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
+    "outside-sqrt5": _conics(_SQRT5, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
+    "completed-tangent-q": _conics(_Q, [6, 1, 0, -6, -6, 5], _F, [1, 1, 0, -3, 0, 1]),
+    "proportional": {"field": _Q, "curves": [{"type": "line", "coeffs": [1, 2, 3]},
+                                             {"type": "line", "coeffs": ["1/2", 1, "3/2"]}]},
+}
+
+# Runs in a fresh interpreter: argv is ROOT DOCS OUT and the seeds; the
+# error documents are DOCS/errors/*.json.
 _DUMP = """
 import json, os, sys
 from pathlib import Path
@@ -49,6 +79,11 @@ for name in workloads.WORKLOADS:
             rc, stdout, stderr = passrun.run_command(cli, argv)
             rows.append({"workload": name, "seed": seed, "index": index, "argv": argv,
                          "rc": rc, "stdout": stdout, "stderr": stderr})
+for path in sorted(Path(docs, "errors").glob("*.json")):
+    argv = ["geom", str(path), "--machine"]
+    rc, stdout, stderr = passrun.run_command(cli, argv)
+    rows.append({"workload": "errors", "seed": 0, "index": path.stem, "argv": argv,
+                 "rc": rc, "stdout": stdout, "stderr": stderr})
 with open(out, "w", encoding="utf-8") as fh:
     json.dump(rows, fh)
 """
@@ -57,6 +92,10 @@ with open(out, "w", encoding="utf-8") as fh:
 def dump(checkout: Path, docs: Path, out: Path) -> list:
     """Every command's (exit code, stdout, stderr) on one side, with the
     document directory written as ``<docs>`` and the checkout as ``<root>``."""
+    errors = docs / "errors"
+    errors.mkdir(parents=True)
+    for name, doc in ERROR_DOCS.items():
+        (errors / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
@@ -113,7 +152,8 @@ def main(argv=None) -> int:
     same, diffs = compare(dumps["parent"], dumps["change"])
     total = max(len(dumps["parent"]), len(dumps["change"]))
     print(f"{same} of {total} commands byte-identical (workloads x seeds "
-          f"{', '.join(map(str, SEEDS))}, warm-ups included)")
+          f"{', '.join(map(str, SEEDS))}, warm-ups included, and "
+          f"{len(ERROR_DOCS)} error documents)")
     for line in diffs[:SHOWN]:
         print("  " + line)
     if len(diffs) > SHOWN:

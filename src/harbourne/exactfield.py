@@ -24,7 +24,8 @@ their lcm and adds the integer numerators: over Q as plain ints, over
 Q[theta]/(m) as the unreduced 2d - 1 coefficients of the schoolbook
 products, which are reduced by the power table once.  So it builds one
 element and takes one gcd, where the products and partial sums would
-build 2n - 1.
+build 2n - 1.  :func:`minor`, a*b - c*d, is the same sum with a sign,
+for the cross products.
 
 A field is accepted only if m has degree at most ``MAX_FIELD_DEGREE``
 and is irreducible over Q: its primitive integer form must be square-free
@@ -478,14 +479,39 @@ def dot(us: Sequence[FieldElement], vs: Sequence[FieldElement]) -> FieldElement:
         return _element(field, (num,), den)
     dens = [u.den * v.den for u, v in zip(us, vs)]
     den = lcm(*dens)
+    return _schoolbook_sum(
+        field, [(u.num, v.num, den // e) for u, v, e in zip(us, vs, dens)], den
+    )
+
+
+def minor(a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
+    """a * b - c * d as one element, the two-term :func:`dot` with the
+    second product negated; mixed operands go through * and -."""
+    field = getattr(a, "field", None)
+    for x in (a, b, c, d):
+        if x.__class__ is not FieldElement or x.field is not field:
+            return a * b - c * d
+    e, g = a.den * b.den, c.den * d.den
+    den = e if e == g else lcm(e, g)
+    if field._table is None:
+        return _element(
+            field, (a.num[0] * b.num[0] * (den // e) - c.num[0] * d.num[0] * (den // g),), den
+        )
+    return _schoolbook_sum(field, ((a.num, b.num, den // e), (c.num, d.num, -(den // g))), den)
+
+
+def _schoolbook_sum(field: ExactField, terms, den: int) -> FieldElement:
+    """sum(k * u(theta) * v(theta) for u, v, k in terms) / den over a number
+    field, for integer numerator tuples u, v: the schoolbook products are
+    summed unreduced and reduced by the power table once."""
     prod = [0] * (2 * field.degree - 1)
-    for u, v, e in zip(us, vs, dens):
-        scale = den // e
-        for i, x in enumerate(u.num):
+    for u, v, k in terms:
+        for i, x in enumerate(u):
             if x:
-                x *= scale
-                for j, y in enumerate(v.num, i):
+                x *= k
+                for j, y in enumerate(v, i):
                     prod[j] += x * y
+    table = field._table
     return _element(field, tuple(_reduce(prod, table)), den * table[1])
 
 

@@ -23,12 +23,16 @@ closed-form resultant of the first coordinate projection that does not
 vanish identically finds it: the line from the projection centre to each
 in-field root of the resultant meets the first conic, and a point of it
 on the second conic is the lone point.
-No field inverse is taken here outside :meth:`ProjPoint.canonical`.
-:func:`extract_profile` lists each point with every curve through it when
-a pair first finds it.  A pair with as many listed common points as its
-Bezout number is skipped, a conic pair with three is completed linearly
-from the pencil member through them that splits, and any other pair is
-intersected.  Each conic keeps its matrix S from construction.
+No field inverse is taken here outside :meth:`ProjPoint.canonical`, and
+over Q a point's identity and the order of a point list come from its
+integers alone.  Cross products and two-term sums are one
+:func:`~harbourne.exactfield.minor` or :func:`~harbourne.exactfield.dot`
+per coordinate.  :func:`extract_profile` lists each point with every
+curve through it when a pair first finds it.  A pair with as many listed
+common points as its Bezout number is skipped, a conic pair with three
+is completed where the lines of two split pencil members cross, and any
+other pair is intersected.  Each conic keeps its matrix S from
+construction.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
-from .exactfield import ExactField, FieldElement, dot, roots_in_field
+from .exactfield import ExactField, FieldElement, dot, minor, roots_in_field
 from .profiles import (
     CONICS,
     ConfigurationProfile,
@@ -87,9 +92,9 @@ class ProjPoint:
 
     Equality and hashing compare the integer identity, the (num, den) of
     each canonical coordinate.  It is computed on first use, as are the
-    Fractions of ``sort_key`` (which only orders lists), the monomials
-    that :meth:`PlaneCurve.evaluate` reads and, per conic, the gradient
-    S p.  Each is kept on this object, never shared with a scaled copy.
+    monomials that :meth:`PlaneCurve.evaluate` reads and, per conic, the
+    gradient S p.  Each is kept on this object, never shared with a
+    scaled copy.
     """
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
@@ -120,14 +125,25 @@ class ProjPoint:
         raise AssertionError("unreachable: zero point")
 
     def identity(self) -> tuple:
-        """The (num, den) of each canonical coordinate, computed once."""
+        """The (num, den) of each canonical coordinate, computed once; over
+        Q by cross-multiplying with the first nonzero coordinate."""
         if self._id is None:
-            ident = tuple((c.num, c.den) for c in self.canonical().coords)
+            if self.field.is_rational:
+                n0, d0 = next((c.num[0], c.den) for c in self.coords if c.num[0])
+                ident = []
+                for c in self.coords:
+                    n, d = c.num[0] * d0, c.den * n0
+                    g = gcd(n, d) if d > 0 else -gcd(n, d)
+                    ident.append(((n // g,), d // g))
+                ident = tuple(ident)
+            else:
+                ident = tuple((c.num, c.den) for c in self.canonical().coords)
             object.__setattr__(self, "_id", ident)
         return self._id
 
     def sort_key(self):
-        """Coefficients of the canonical coordinates, computed once."""
+        """Coefficients of the canonical coordinates, computed once: the
+        reference for :func:`_in_order`."""
         if self._key is None:
             key = tuple(c.coeffs for c in self.canonical().coords)
             object.__setattr__(self, "_key", key)
@@ -164,9 +180,18 @@ def point(field: ExactField, x, y, z) -> ProjPoint:
 
 def cross(u: Sequence[FieldElement], v: Sequence[FieldElement]):
     return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+        minor(u[1], v[2], u[2], v[1]),
+        minor(u[2], v[0], u[0], v[2]),
+        minor(u[0], v[1], u[1], v[0]),
+    )
+
+
+def _in_order(pts: list[tuple[ProjPoint, int]]) -> list[tuple[ProjPoint, int]]:
+    """(point, multiplicity) pairs sorted by :meth:`ProjPoint.sort_key`,
+    compared as the integer identities over one common denominator."""
+    den = lcm(*(d for pt, _ in pts for _, d in pt.identity()))
+    return sorted(
+        pts, key=lambda pm: [n * (den // d) for num, d in pm[0].identity() for n in num]
     )
 
 
@@ -413,7 +438,7 @@ def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
 
 
 def _combine_points(t: FieldElement, a: ProjPoint, u: FieldElement, b: ProjPoint):
-    return tuple(t * x + u * y for x, y in zip(a.coords, b.coords))
+    return tuple(dot((t, u), xy) for xy in zip(a.coords, b.coords))
 
 
 def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int]], int]:
@@ -430,8 +455,7 @@ def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int
         (ProjPoint(_combine_points(t, a, u, b)).canonical(), mult)
         for (t, u), mult in roots
     ]
-    pts.sort(key=lambda pm: pm[0].sort_key())
-    return pts, found
+    return _in_order(pts), found
 
 
 def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
@@ -461,9 +485,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     sf, sg = f._matrix, g._matrix
 
     def member(lam: FieldElement, mu: FieldElement) -> Mat3:
-        return tuple(
-            tuple(lam * sf[i][j] + mu * sg[i][j] for j in range(3)) for i in range(3)
-        )
+        return tuple(tuple(dot((lam, mu), st) for st in zip(*rows)) for rows in zip(sf, sg))
 
     def trace(adj: Mat3, s: Mat3) -> FieldElement:
         """tr(adj * s) for a symmetric s."""
@@ -473,8 +495,16 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     #                       + lam mu^2 tr(Sf adj Sg) + mu^3 det Sg
     cubic = [det3(sg), trace(adjugate3(sg), sf), trace(adjugate3(sf), sg), det3(sf)]
     roots, _ = binary_form_roots(cubic, field)
-    members = (_split_degenerate(member(lam, mu), field) for (lam, mu), _ in roots)
-    split = list(islice(filter(None, members), 2))
+    # once one member splits and one does not, not every base point is in
+    # the field, so no second member can split
+    split, failed = [], False
+    for (lam, mu), _ in roots:
+        lines = _split_degenerate(member(lam, mu), field)
+        if lines:
+            split.append(lines)
+        failed = failed or not lines
+        if split and len(split) + failed == 2:
+            break
 
     if not split:
         pts = [(pt, 1) for pt in _resultant_candidates(f, g)]
@@ -491,7 +521,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
             hits[pt] = hits.get(pt, 0) + mult
         if not all(incident(f, pt) and incident(g, pt) for pt in hits):
             raise AssertionError("split pencil members meet off the base points")
-        pts = sorted(hits.items(), key=lambda pm: pm[0].sort_key())
+        pts = _in_order(list(hits.items()))
 
     if not pts:
         raise IntersectionOutsideField(
@@ -525,22 +555,23 @@ def _complete_pair(
     the tangent of h at P3, with coefficients S_h P3 = g(R)*Sf P3 -
     f(R)*Sg P3.  Since I_P(f, g) = I_P(f, h) = I_P(f, L) + I_P(f, M)
     (Fulton, *Algebraic Curves*, 3.3), L adds 1 at P1 and at P2, and M
-    adds 1 at P3 and at its second point X on f.  Q = L x M lies on M and
-    not at P3, and f(t*P3 + u*Q) = u*(t*B + u*f(Q)) with B = P3^T Sf Q, so
-    X = f(Q)*P3 - B*Q (Q itself when Q is P1 or P2, where f(Q) = 0).
+    adds 1 at P3 and at its second point X on f.  Likewise R' = P1 + P3
+    gives the line M' = g(R')*Sf P2 - f(R')*Sg P2 through P2 and X.  M and
+    M' differ, or P2, P3 and X would lie on one line meeting f three
+    times, so X = M x M', whichever known point it may be.
     """
     p1, p2, p3 = known
-    fr, gr = dot(p1.coords, f.gradient(p2)), dot(p1.coords, g.gradient(p2))
-    fp3 = f.gradient(p3)
-    m = [gr * a - fr * b for a, b in zip(fp3, g.gradient(p3))]
-    q = ProjPoint(cross(cross(p1.coords, p2.coords), m))
-    fq, bq = f.evaluate(q), dot(fp3, q.coords)
-    x = ProjPoint(tuple(fq * u - bq * v for u, v in zip(p3.coords, q.coords))).canonical()
-    if not g.evaluate(x).is_zero():
-        raise AssertionError("completed pair meets f off g")
+    fp2, gp2, fp3, gp3 = f.gradient(p2), g.gradient(p2), f.gradient(p3), g.gradient(p3)
+    fr, gr = dot(p1.coords, fp2), dot(p1.coords, gp2)
+    fr3, gr3 = dot(p1.coords, fp3), dot(p1.coords, gp3)
+    m = [minor(gr, a, fr, b) for a, b in zip(fp3, gp3)]
+    m3 = [minor(gr3, a, fr3, b) for a, b in zip(fp2, gp2)]
+    x = ProjPoint(cross(m, m3)).canonical()
+    if not (incident(f, x) and incident(g, x)):
+        raise AssertionError("pencil lines of a completed pair cross off the base points")
     hits = {p: 1 for p in known}
     hits[x] = hits.get(x, 0) + 1
-    return sorted(hits.items(), key=lambda pm: pm[0].sort_key())
+    return _in_order(list(hits.items()))
 
 
 def _split_degenerate(m: Mat3, field: ExactField) -> list[PlaneCurve] | None:
@@ -666,10 +697,10 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     multiplicity 1: it could neither raise nor add a curve to a point.
 
     A conic pair with three known points P1, P2, P3 is completed without
-    root finding (:func:`_complete_pair`): the pencil member through P1,
-    P2 and a third point of the line P1P2 splits as that line times a line
-    M through P3 (Fulton, 3.3), M meets the first conic again in one point
-    X, found linearly, and I_P(f, g) is 1 at each known point plus 1 where
+    root finding (:func:`_complete_pair`): the pencil members through a
+    third point of the line P1P2, and of P1P3, split as those lines times
+    lines M through P3 and M' through P2 (Fulton, 3.3), which cross at the
+    fourth point X, and I_P(f, g) is 1 at each known point plus 1 where
     P = X.  The list is the one intersect returns: the same canonical
     points in the same order, with the same multiplicities.  Any other
     pair is intersected.  A pair that intersect rejects as outside the

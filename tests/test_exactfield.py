@@ -23,6 +23,7 @@ from harbourne.exactfield import (
     kx_gcd,
     kx_monic,
     kx_shift,
+    minor,
     roots_in_field,
 )
 
@@ -730,6 +731,46 @@ def test_dot_refuses_mixed_fields():
     ):
         with pytest.raises(FieldError):
             dot(us, vs)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_minor_matches_the_term_by_term_difference(name):
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"minor:{name}")
+    zeros = 0
+    for _ in range(120):
+        a, b, c, d = (field.element(_random_coeffs(rng, field.degree)) for _ in range(4))
+        cancel = rng.randrange(3)
+        if cancel == 1:  # the same product twice
+            c, d = b, a
+        elif cancel == 2 and d:  # the same product over other denominators
+            c, d = a * d, b / d
+        got, want = minor(a, b, c, d), a * b - c * d
+        assert (got.num, got.den, got.field) == (want.num, want.den, want.field)
+        _assert_normal(got)
+        zeros += got.is_zero()
+    assert zeros >= 40
+
+
+def test_minor_coerces_like_mul_and_sub():
+    twin = ExactField((F(-2), F(0), F(1)))
+    a, b, c, d = twin.generator(), SQRT2.element([F(1, 3), 2]), 5, SQRT2.element([1, F(-1, 2)])
+    assert minor(a, b, c, d) == a * b - c * d
+    assert minor(c, d, b, a) == c * d - b * a
+    q = RATIONALS.element(F(3, 4))
+    assert minor(2, q, q, -3) == 2 * q - q * -3 == RATIONALS.element(F(15, 4))
+    assert minor(F(1, 2), q, q, F(1, 3)) == RATIONALS.element(F(1, 8))
+    assert minor(2, 3, 4, 5) == 2 * 3 - 4 * 5 == -14
+
+
+def test_minor_refuses_mixed_fields():
+    for args in (
+        (SQRT2.one(), CBRT2.one(), SQRT2.one(), SQRT2.one()),
+        (SQRT2.one(), SQRT2.one(), RATIONALS.one(), SQRT2.one()),
+        (RATIONALS.one(), RATIONALS.one(), RATIONALS.one(), SQRT2.one()),
+    ):
+        with pytest.raises(FieldError):
+            minor(*args)
 
 
 def test_long_coefficient_vectors_reduce_like_the_reference():

@@ -894,12 +894,42 @@ def test_point_identity_is_projective(name):
         canon = p.canonical().coords
         assert p.identity() == twin.identity() == tuple((c.num, c.den) for c in canon)
         assert twin == p and hash(twin) == hash(p) and twin.sort_key() == p.sort_key()
+        for s in (-scale, scale * F(-(10**12 + 39), 10**9 + 7)):
+            other = ProjPoint(tuple(c * s for c in p.coords))
+            assert other.identity() == p.canonical().identity() == p.identity()
     pairs = 0
     for p, q in combinations(pts, 2):
         proportional_ = all(c.is_zero() for c in G.cross(p.coords, q.coords))
         assert (p.identity() == q.identity()) is (p == q) is proportional_
         pairs += not proportional_
     assert pairs > 700
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5", "cbrt2"])
+def test_integer_order_is_the_sort_key_order(name):
+    """_in_order sorts (point, multiplicity) pairs as sort_key does, with
+    ties (scaled copies) left in their order."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"order:{name}")
+
+    def coeff():
+        if rng.random() < 0.3:
+            return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        return F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7)))
+
+    for _ in range(60):
+        pts = []
+        while len(pts) < 6:
+            coords = [field.element([coeff() for _ in range(field.degree)]) for _ in range(3)]
+            if not all(c.is_zero() for c in coords):
+                p = ProjPoint(tuple(coords))
+                pts.append((p, rng.randint(1, 3)))
+                if rng.random() < 0.3:
+                    scale = _nonzero_scaling(rng, field)
+                    pts.append((ProjPoint(tuple(c * scale for c in p.coords)), 1))
+        rng.shuffle(pts)
+        got, want = G._in_order(pts), sorted(pts, key=lambda pm: pm[0].sort_key())
+        assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("name", ["Q", "sqrt5"])
@@ -1132,6 +1162,48 @@ def test_two_split_members_match_the_one_member_path(name):
                 assert got[1] is None and sorted(m for _, m in got[0]) == want
 
 
+def _conjugate_pair_pencils(rng, field, count):
+    """count conic pairs f, g in the pencil of L1*L2 and u^2 - 2*v^2, for
+    random lines L1, L2 and linear forms u, v.  The base points are two
+    pairs conjugate over K(sqrt 2), so the three degenerate members are
+    all over K, and only L1*L2 splits."""
+
+    def lin():
+        return G.PlaneCurve(G.CurveForm.LINE, tuple(field.element(rng.randint(-4, 4))
+                                                   for _ in range(3)))
+
+    pairs = []
+    while len(pairs) < count:
+        try:
+            l1, l2, u, v = (lin() for _ in range(4))
+            h1 = _line_product_conic(l1, l2)
+            h2 = [a - 2 * b for a, b in zip(_line_product_conic(u, u), _line_product_conic(v, v))]
+            f, g = (G.PlaneCurve(G.CurveForm.CONIC, tuple(a + lam * b for a, b in zip(h1, h2)))
+                    for lam in rng.sample([-3, -2, -1, 1, 2, 3], 2))
+        except (GeometryError, ValueError):
+            continue  # a zero line or a degenerate conic
+        pairs.append((f, g))
+    return pairs
+
+
+def test_a_member_that_does_not_split_ends_the_search(monkeypatch):
+    """Once one pencil member splits and another does not, not every base
+    point is in the field, so no third member is split: each intersection
+    solves the cubic, two members and the two lines of the one that splits
+    (trying every member would take 358 forms and 178 splits).  Outcomes
+    are those of the one-member path."""
+    pairs = [(a, b) for name in ("Q", "sqrt5", "cbrt2")
+             for f, g in _conjugate_pair_pencils(random.Random(f"conjugate pairs {name}"),
+                                                 ORACLE_FIELDS[name], 10)
+             for a, b in ((f, g), (g, f))]
+    want = [_intersect_outcome(_one_member_intersect, a, b) for a, b in pairs]
+    solved = _counted(monkeypatch, "binary_form_roots")
+    splits = _counted(monkeypatch, "_split_degenerate")
+    got = [_intersect_outcome(intersect, a, b) for a, b in pairs]
+    assert got == want and all(error is not None for _, error in got)
+    assert (len(solved), len(splits)) == (300, 120)
+
+
 class TestCompletePair:
     """Fed any three distinct common points, in any order, _complete_pair
     returns exactly intersect's list: the same canonical coordinates,
@@ -1187,6 +1259,18 @@ def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
     profile = extract_profile(GeometricConfiguration(field, tuple(images)))
     assert profile.t[len(images)] == 3
     assert requested and set(requested) == {"canonical"}
+
+
+def test_line_arrangement_over_q_takes_no_inverse(monkeypatch):
+    """Over Q a point's identity is cross-multiplied from its integers, so
+    extract_profile normalizes no point of eight lines by an inverse."""
+    curves = _random_lines(random.Random("eight lines"), 8)
+    taken = []
+    original = exactfield.FieldElement.inverse
+    monkeypatch.setattr(exactfield.FieldElement, "inverse",
+                        lambda self: taken.append(self) or original(self))
+    profile = extract_profile(GeometricConfiguration(Q, tuple(curves)))
+    assert dict(profile.t) == _naive_line_histogram(curves) and taken == []
 
 
 def _incidence_t(curves):
@@ -1576,6 +1660,16 @@ class TestExtractProfileSkipsKnownPairs:
         """Each point's later curves are evaluated once, when it is first
         found, not again for every pair whose known points are counted."""
         assert _seven_point_elements(monkeypatch) <= 6_500
+
+    def test_seven_point_conics_build_at_most_4500_elements(self, monkeypatch):
+        """A completion crosses two pencil lines, a cross product or a
+        two-term sum builds one element per coordinate, and points are
+        ordered by integers, comparing no Fraction."""
+        compared = []
+        original = F.__eq__
+        monkeypatch.setattr(F, "__eq__", lambda a, b: compared.append(b) or original(a, b))
+        assert _seven_point_elements(monkeypatch) <= 4_500
+        assert compared == []
 
     def test_cremona_image_conics_make_1_call_and_9_completions(
         self, intersect_calls, completions

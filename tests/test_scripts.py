@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +101,28 @@ def test_scripts_report_bad_arguments_without_a_traceback(capsys, script, argv, 
     assert out == ""
     usage, error = err.splitlines()  # argparse's usage line, then the error
     assert usage.startswith("usage: ") and error.endswith(f": error: {message}")
+
+
+def test_same_outputs_error_documents_are_refused(tmp_path, capsys):
+    """Each error document fails geom with the error it was written for."""
+    from harbourne import cli
+
+    want = {
+        "tangent": (2, "multiplicity 2"),
+        "osculating": (2, "multiplicity 3"),
+        "outside": (2, "no in-field intersection point of 4"),
+        "completed-tangent": (2, "curves 1 and 2 meet at (0 : 0 : 1) with multiplicity 2"),
+        "proportional": (1, "curves must be pairwise distinct"),
+    }
+    docs = load_script("same_outputs").ERROR_DOCS
+    assert len(docs) == 8
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, message = want[name.removesuffix("-q").removesuffix("-sqrt5")]
+        assert cli.main(["geom", str(path), "--machine"]) == rc, name
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, name
 
 
 def _row(index, argv, rc=0, stdout="", stderr="", workload="cli", seed=1):
