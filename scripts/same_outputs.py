@@ -10,7 +10,9 @@ for the seeds 1, 2 and 3, warm-ups included, through its own
 ``perfbench/passrun.run_command``, in its own ``perfbench/workloads``
 order.  Then it runs ``geom --machine`` on each document of
 ``ERROR_DOCS``, conic pairs and a line pair that ``geom`` refuses, so the
-error paths are compared too: 654 benchmark and 8 error commands in all.
+error paths are compared too, and on each of ``FRACTION_DOCS``, which
+succeed with ``p/q`` coefficients, so that clearing denominators is
+compared: 654 benchmark, 8 error and 3 fractional commands in all.
 The exit code, stdout and stderr of each command are compared
 between the sides, with the directory of the workload documents and the
 checkout's root written the same way on both (the ``cli`` parse-error
@@ -28,10 +30,16 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export_revision, export_working_tree  # noqa: E402
+from bench_pairs import ROOT, export_revision, export_working_tree  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import oracles  # noqa: E402
+from workloads import CREMONA_LINES, SEVEN_POINTS  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SHOWN = 10
@@ -62,8 +70,40 @@ ERROR_DOCS = {
                                              {"type": "line", "coeffs": ["1/2", 1, "3/2"]}]},
 }
 
+
+def _scaled(kind, curves):
+    """A rational document of integer curves, curve i times (-1)^i (2i+3)/(i+2)."""
+    out = []
+    for i, c in enumerate(curves):
+        coeffs = [Fraction((-1) ** i * (2 * i + 3), i + 2) * x for x in c]
+        out.append({"type": kind, "coeffs": [
+            x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+            for x in coeffs]})
+    return {"field": _Q, "curves": out}
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+# Documents that geom accepts, with p/q coefficients: the 21 conics
+# through 5-subsets of SEVEN_POINTS, the seven sides of the heptagon
+# they span and the diagonal from the first to the fourth, and the
+# Cremona images a*YZ + b*XZ + c*XY of CREMONA_LINES.
+FRACTION_DOCS = {
+    "seven-point-conics": _scaled("conic", [
+        [int(x.c[0]) for x in oracles.conic_through(
+            [tuple(map(oracles.Field(), p)) for p in five])]
+        for five in combinations(SEVEN_POINTS, 5)]),
+    "eight-lines": _scaled("line", [
+        _cross(p, q) for p, q in zip(SEVEN_POINTS, SEVEN_POINTS[1:] + SEVEN_POINTS[:1])
+    ] + [_cross(SEVEN_POINTS[0], SEVEN_POINTS[3])]),
+    "cremona-conics": _scaled("conic", [[0, 0, 0, c, b, a] for a, b, c in CREMONA_LINES]),
+}
+
 # Runs in a fresh interpreter: argv is ROOT DOCS OUT and the seeds; the
-# error documents are DOCS/errors/*.json.
+# error and fractional documents are DOCS/errors/*.json and
+# DOCS/fractions/*.json.
 _DUMP = """
 import json, os, sys
 from pathlib import Path
@@ -79,11 +119,12 @@ for name in workloads.WORKLOADS:
             rc, stdout, stderr = passrun.run_command(cli, argv)
             rows.append({"workload": name, "seed": seed, "index": index, "argv": argv,
                          "rc": rc, "stdout": stdout, "stderr": stderr})
-for path in sorted(Path(docs, "errors").glob("*.json")):
-    argv = ["geom", str(path), "--machine"]
-    rc, stdout, stderr = passrun.run_command(cli, argv)
-    rows.append({"workload": "errors", "seed": 0, "index": path.stem, "argv": argv,
-                 "rc": rc, "stdout": stdout, "stderr": stderr})
+for group in ("errors", "fractions"):
+    for path in sorted(Path(docs, group).glob("*.json")):
+        argv = ["geom", str(path), "--machine"]
+        rc, stdout, stderr = passrun.run_command(cli, argv)
+        rows.append({"workload": group, "seed": 0, "index": path.stem, "argv": argv,
+                     "rc": rc, "stdout": stdout, "stderr": stderr})
 with open(out, "w", encoding="utf-8") as fh:
     json.dump(rows, fh)
 """
@@ -92,10 +133,10 @@ with open(out, "w", encoding="utf-8") as fh:
 def dump(checkout: Path, docs: Path, out: Path) -> list:
     """Every command's (exit code, stdout, stderr) on one side, with the
     document directory written as ``<docs>`` and the checkout as ``<root>``."""
-    errors = docs / "errors"
-    errors.mkdir(parents=True)
-    for name, doc in ERROR_DOCS.items():
-        (errors / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    for group, written in (("errors", ERROR_DOCS), ("fractions", FRACTION_DOCS)):
+        (docs / group).mkdir(parents=True)
+        for name, doc in written.items():
+            (docs / group / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
@@ -152,8 +193,8 @@ def main(argv=None) -> int:
     same, diffs = compare(dumps["parent"], dumps["change"])
     total = max(len(dumps["parent"]), len(dumps["change"]))
     print(f"{same} of {total} commands byte-identical (workloads x seeds "
-          f"{', '.join(map(str, SEEDS))}, warm-ups included, and "
-          f"{len(ERROR_DOCS)} error documents)")
+          f"{', '.join(map(str, SEEDS))}, warm-ups included, "
+          f"{len(ERROR_DOCS)} error and {len(FRACTION_DOCS)} fractional documents)")
     for line in diffs[:SHOWN]:
         print("  " + line)
     if len(diffs) > SHOWN:

@@ -174,6 +174,8 @@ def geometry_from_document(obj) -> GeometricConfiguration:
     curves = []
     for idx, raw in enumerate(raw_curves):
         curves.append(_curve_from_document(raw, field, f"$.curves[{idx}]"))
+    if len(curves) < 2:
+        raise DocumentError("a configuration needs at least two curves", "$.curves")
     try:
         return GeometricConfiguration(field, tuple(curves))
     except HarbourneError as err:

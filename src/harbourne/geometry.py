@@ -27,7 +27,12 @@ No field inverse is taken here outside :meth:`ProjPoint.canonical`, and
 over Q a point's identity and the order of a point list come from its
 integers alone.  Cross products and two-term sums are one
 :func:`~harbourne.exactfield.minor` or :func:`~harbourne.exactfield.dot`
-per coordinate.  :func:`extract_profile` lists each point with every
+per coordinate.  Incidence tests, conic-pair completions, line crossings
+and the distinctness check read vectors: over Q a point's primitive
+integer vector and a curve's coefficients over their lcm, so they are
+int sums, and a point they make is built canonical from its integers
+with no inverse; over a number field the coordinates and coefficients.
+:func:`extract_profile` lists each point with every
 curve through it when a pair first finds it.  A pair with as many listed
 common points as its Bezout number is skipped, a conic pair with three
 is completed where the lines of two split pencil members cross, and any
@@ -37,14 +42,22 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactfield import ExactField, FieldElement, dot, minor, roots_in_field
+from .exactfield import (
+    ExactField,
+    FieldElement,
+    FieldError,
+    _element,
+    dot,
+    minor,
+    roots_in_field,
+)
 from .profiles import (
     CONICS,
     ConfigurationProfile,
@@ -92,6 +105,7 @@ class ProjPoint:
 
     Equality and hashing compare the integer identity, the (num, den) of
     each canonical coordinate.  It is computed on first use, as are the
+    :meth:`vector` that incidence tests and completions read, the
     monomials that :meth:`PlaneCurve.evaluate` reads and, per conic, the
     gradient S p.  Each is kept on this object, never shared with a
     scaled copy.
@@ -99,7 +113,7 @@ class ProjPoint:
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
     # per-object caches, set on first use
-    _id = _key = _mono = _grads = None
+    _id = _key = _vec = _mono = _grads = None
 
     def __post_init__(self):
         if len(self.coords) != 3:
@@ -118,7 +132,7 @@ class ProjPoint:
         """Scale so the first nonzero coordinate is 1; self if it is."""
         for c in self.coords:
             if not c.is_zero():
-                if c == c.field.one():
+                if c.den == 1 and c.num[0] == 1 and not any(c.num[1:]):  # c is 1
                     return self
                 inv = c.inverse()
                 return ProjPoint(tuple(x * inv for x in self.coords))
@@ -149,12 +163,23 @@ class ProjPoint:
             object.__setattr__(self, "_key", key)
         return self._key
 
+    def vector(self) -> tuple:
+        """Over Q the primitive integer vector, first nonzero entry
+        positive, read off the identity; over a number field the
+        coordinates.  Computed once."""
+        if self._vec is None:
+            vec = self.coords
+            if self.field.is_rational:
+                ident = self.identity()
+                den = lcm(*(d for _, d in ident))
+                vec = tuple(n * (den // d) for (n,), d in ident)
+            object.__setattr__(self, "_vec", vec)
+        return self._vec
+
     def monomials(self) -> tuple[FieldElement, ...]:
         """x^2, y^2, z^2, xy, xz, yz, in conic coefficient order, computed once."""
         if self._mono is None:
-            x, y, z = self.coords
-            mono = (x * x, y * y, z * z, x * y, x * z, y * z)
-            object.__setattr__(self, "_mono", mono)
+            object.__setattr__(self, "_mono", _monomials(*self.coords))
         return self._mono
 
     def __eq__(self, other) -> bool:
@@ -176,6 +201,25 @@ class ProjPoint:
 
 def point(field: ExactField, x, y, z) -> ProjPoint:
     return ProjPoint((field.element(x), field.element(y), field.element(z)))
+
+
+def _point_from_vector(field: ExactField, v: Sequence) -> ProjPoint:
+    """The point of a nonzero vector.  Over Q v holds ints: divided by its
+    content it is the point's vector, and the point is canonical, x_i /
+    x_first, with no inverse taken.  Over a number field v are the
+    coordinates."""
+    if not field.is_rational:
+        return ProjPoint(tuple(v))
+    first = next(x for x in v if x)
+    g = gcd(*v) if first > 0 else -gcd(*v)
+    vec = tuple(x // g for x in v)
+    p = ProjPoint(tuple(_element(field, (x,), first // g) for x in vec))
+    object.__setattr__(p, "_vec", vec)
+    return p
+
+
+def _monomials(x, y, z) -> tuple:
+    return (x * x, y * y, z * z, x * y, x * z, y * z)
 
 
 def cross(u: Sequence[FieldElement], v: Sequence[FieldElement]):
@@ -210,8 +254,11 @@ class PlaneCurve:
 
     form: CurveForm
     coeffs: tuple[FieldElement, ...]
-    # a conic's doubled matrix S, computed once
-    _matrix: Mat3 | None = dc_field(default=None, init=False, compare=False, repr=False)
+    # set at construction: a conic's doubled matrix S, and the vectors
+    # that incidence tests and completions read, over Q the coefficients
+    # over their lcm, as ints, and a conic's S of those, over a number
+    # field coeffs and S
+    _matrix = _vec = _vmat = None
 
     def __post_init__(self):
         expected = 3 if self.form is CurveForm.LINE else 6
@@ -222,15 +269,20 @@ class PlaneCurve:
             raise GeometryError("coefficients must share one field")
         if all(c.is_zero() for c in self.coeffs):
             raise ValueError("zero coefficient vector")
+        vec = self.coeffs
+        if first.is_rational:
+            den = lcm(*(c.den for c in vec))
+            vec = tuple(c.num[0] * (den // c.den) for c in vec)
+        object.__setattr__(self, "_vec", vec)
         if self.form is CurveForm.CONIC:
-            a, b, c, d, e, f = self.coeffs
-            s = ((a + a, d, e), (d, b + b, f), (e, f, c + c))
+            s = _doubled(*self.coeffs)
             if det3(s).is_zero():
                 raise GeometryError(
                     "conic is degenerate (zero determinant), hence reducible; "
                     "only irreducible conics are supported"
                 )
             object.__setattr__(self, "_matrix", s)
+            object.__setattr__(self, "_vmat", _doubled(*vec) if first.is_rational else s)
 
     @property
     def field(self) -> ExactField:
@@ -262,6 +314,10 @@ class PlaneCurve:
         return f"PlaneCurve({self})"
 
 
+def _doubled(a, b, c, d, e, f) -> Mat3:
+    return ((a + a, d, e), (d, b + b, f), (e, f, c + c))
+
+
 def line(field: ExactField, a, b, c) -> PlaneCurve:
     return PlaneCurve(CurveForm.LINE, tuple(field.element(v) for v in (a, b, c)))
 
@@ -272,15 +328,19 @@ def conic(field: ExactField, a, b, c, d, e, f) -> PlaneCurve:
     )
 
 
+def _same_field(a, b) -> None:
+    """Refuse two objects over different fields, as field arithmetic would."""
+    if a.field is not b.field and a.field != b.field:
+        raise FieldError("cannot mix elements of different fields")
+
+
 def proportional(c1: PlaneCurve, c2: PlaneCurve) -> bool:
+    """Same form and proportional coefficients, read off the vectors."""
     if c1.form is not c2.form:
         return False
-    u, v = c1.coeffs, c2.coeffs
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
-                return False
-    return True
+    _same_field(c1, c2)
+    u, v = c1._vec, c2._vec
+    return not any(minor(u[i], v[j], u[j], v[i]) for i, j in combinations(range(len(u)), 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +358,12 @@ class GeometricConfiguration:
 
 
 def incident(curve: PlaneCurve, p: ProjPoint) -> bool:
-    return curve.evaluate(p).is_zero()
+    """evaluate(p) is zero, tested on the vectors: over Q an int sum."""
+    _same_field(curve, p)
+    v = p.vector()
+    if curve.form is CurveForm.CONIC:
+        v = _monomials(*v) if p.field.is_rational else p.monomials()
+    return not dot(curve._vec, v)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +462,10 @@ def intersect(c1: PlaneCurve, c2: PlaneCurve) -> list[tuple[ProjPoint, int]]:
         raise GeometryError("curves live over different fields")
     if c1.form is CurveForm.LINE and c2.form is CurveForm.LINE:
         # two lines are proportional exactly when their cross product is zero
-        coords = cross(c1.coeffs, c2.coeffs)
-        if all(x.is_zero() for x in coords):
+        v = cross(c1._vec, c2._vec)
+        if not any(v):
             raise GeometryError("curves must not be proportional")
-        return [(ProjPoint(coords), 1)]
+        return [(_point_from_vector(c1.field, v), 1)]
     if proportional(c1, c2):
         raise GeometryError("curves must not be proportional")
     if c1.form is CurveForm.CONIC and c2.form is CurveForm.CONIC:
@@ -558,15 +623,20 @@ def _complete_pair(
     adds 1 at P3 and at its second point X on f.  Likewise R' = P1 + P3
     gives the line M' = g(R')*Sf P2 - f(R')*Sg P2 through P2 and X.  M and
     M' differ, or P2, P3 and X would lie on one line meeting f three
-    times, so X = M x M', whichever known point it may be.
+    times, so X = M x M', whichever known point it may be.  Over Q all of
+    this is taken on the integer vectors of the points and conics.
     """
     p1, p2, p3 = known
-    fp2, gp2, fp3, gp3 = f.gradient(p2), g.gradient(p2), f.gradient(p3), g.gradient(p3)
-    fr, gr = dot(p1.coords, fp2), dot(p1.coords, gp2)
-    fr3, gr3 = dot(p1.coords, fp3), dot(p1.coords, gp3)
+    rational = f.field.is_rational
+    fp2, gp2, fp3, gp3 = (
+        mat_vec(c._vmat, p.vector()) if rational else c.gradient(p)
+        for p in (p2, p3) for c in (f, g)
+    )
+    v1 = p1.vector()
+    fr, gr, fr3, gr3 = (dot(v1, grad) for grad in (fp2, gp2, fp3, gp3))
     m = [minor(gr, a, fr, b) for a, b in zip(fp3, gp3)]
     m3 = [minor(gr3, a, fr3, b) for a, b in zip(fp2, gp2)]
-    x = ProjPoint(cross(m, m3)).canonical()
+    x = _point_from_vector(f.field, cross(m, m3)).canonical()
     if not (incident(f, x) and incident(g, x)):
         raise AssertionError("pencil lines of a completed pair cross off the base points")
     hits = {p: 1 for p in known}
@@ -709,8 +779,9 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     the profile, and the first error with the pair and point it names,
     are those of intersecting every pair.
 
-    A point keeps its monomials and its gradient per conic, so the
-    evaluations and completions compute them once per listed point.
+    Over Q the evaluations and completions are int sums on the integer
+    vectors; over a number field a point keeps its monomials and its
+    gradient per conic, so they are computed once per listed point.
     """
     curves = config.curves
     if len(curves) < 2:

@@ -124,12 +124,15 @@ class ConfigurationProfile:
     ``t`` maps a multiplicity r >= 2 to the number of r-fold points.
     Construction performs structural checks only (integer types, k >= 2,
     r >= 2, counts >= 0); the mathematical invariants are the business of
-    :func:`validate`, which reports violations as data.
+    :func:`validate`, which reports violations as data.  The report and
+    the :func:`moments` are kept on the object, computed on first use.
     """
 
     curve_class: CurveClass
     k: int
     t: Mapping[int, int] = field(default_factory=dict)
+    # per-object caches, set on first use
+    _report = _moments = None
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
@@ -182,7 +185,14 @@ class ValidationReport:
 
 
 def validate(profile: ConfigurationProfile) -> ValidationReport:
-    """Check every profile invariant; violations are reported, not raised."""
+    """Check every profile invariant; violations are reported, not raised.
+    The report is computed once per profile object."""
+    if profile._report is None:
+        object.__setattr__(profile, "_report", _check(profile))
+    return profile._report
+
+
+def _check(profile: ConfigurationProfile) -> ValidationReport:
     bad: list[Violation] = []
 
     out_of_range = sorted(r for r in profile.t if r > profile.k)
@@ -248,11 +258,14 @@ class MomentSet:
 
 
 def moments(profile: ConfigurationProfile) -> MomentSet:
-    """Exact moments of a validating profile."""
-    require_valid(profile)
-    items = profile.t.items()
-    return MomentSet(
-        f0=sum(c for _, c in items),
-        f1=sum(r * c for r, c in items),
-        f2=sum(r * r * c for r, c in items),
-    )
+    """Exact moments of a validating profile, computed once per object."""
+    if profile._moments is None:
+        require_valid(profile)
+        items = profile.t.items()
+        ms = MomentSet(
+            f0=sum(c for _, c in items),
+            f1=sum(r * c for r, c in items),
+            f2=sum(r * r * c for r, c in items),
+        )
+        object.__setattr__(profile, "_moments", ms)
+    return profile._moments

@@ -12,8 +12,8 @@ import pytest
 from conftest import SEVEN_POINTS, conic_through, swinnerton_dyer
 
 import harbourne
-from harbourne import cli, covers, search
-from harbourne.profiles import LINES
+from harbourne import cli, covers, profiles, search
+from harbourne.profiles import CONICS, LINES, ConfigurationProfile
 from harbourne.search import SearchQuery, enumerate_profiles
 
 # The subprocess runs the package these tests import, installed or not.
@@ -413,6 +413,26 @@ def test_geom_outside_field_is_computation_error(tmp_path):
     r = run_cli(["geom", str(doc)])
     assert r.returncode == 2
     assert "in-field" in r.stderr
+
+
+def test_geom_one_curve_document_exits_1(tmp_path, capsys):
+    doc = tmp_path / "geom.json"
+    doc.write_text(json.dumps({"field": {"kind": "rational"},
+                               "curves": [{"type": "line", "coeffs": [1, 2, 3]}]}))
+    code, out, err = run_in_process(["geom", str(doc), "--machine"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: $.curves: a configuration needs at least two curves\n"
+
+
+def test_conic_analysis_validates_and_takes_moments_once(monkeypatch):
+    built = []
+    for name in ("ValidationReport", "MomentSet"):
+        original = getattr(profiles, name)
+        monkeypatch.setattr(profiles, name, lambda *a, _o=original, **kw:
+                            built.append(_o.__name__) or _o(*a, **kw))
+    payload = cli._analysis_payload(ConfigurationProfile(CONICS, 7, {2: 81, 3: 1}))
+    assert payload["validation"]["ok"] and "positivity_quadratic" in payload["constraints"]
+    assert sorted(built) == ["MomentSet", "ValidationReport"]
 
 
 def test_search_machine():

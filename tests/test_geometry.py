@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from conftest import SEVEN_POINTS, conic_through
@@ -967,6 +968,75 @@ def test_cached_monomials_and_gradients_match_the_formulas(name):
         checked += 1
 
 
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_vector_is_the_primitive_integer_vector_over_q(name):
+    """Over Q a point's vector is its primitive integer vector, first
+    nonzero entry positive, shared by every scaling of the point, negative
+    or with a large denominator; over Q(sqrt5) it is the coordinates."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"vector:{name}")
+    for _ in range(40):
+        p = _random_point(rng, field)
+        vec = p.vector()
+        assert p.vector() is vec
+        if not field.is_rational:
+            assert vec == p.coords
+            continue
+        assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+        assert next(x for x in vec if x) > 0
+        assert not any(G.cross(vec, [c.as_rational() for c in p.coords]))
+        scale = _nonzero_scaling(rng, field)
+        for s in (scale, -scale, scale * F(-(10**12 + 39), 10**9 + 7)):
+            assert ProjPoint(tuple(c * s for c in p.coords)).vector() == vec
+
+
+def test_points_built_from_integer_vectors():
+    """Over Q a line crossing is built from the integer cross product of
+    the lines' vectors: canonical, with the vector a fresh copy computes."""
+    rng = random.Random("crossings")
+    lines = []
+    while len(lines) < 8:
+        coeffs = [_random_element(rng, Q) for _ in range(3)]
+        if any(coeffs) and not any(proportional(line(Q, *coeffs), l) for l in lines):
+            lines.append(line(Q, *coeffs))
+    assert any(c.den > 1 for l in lines for c in l.coeffs)
+    for a, b in combinations(lines, 2):
+        [(p, mult)] = intersect(a, b)
+        assert mult == 1 and p.canonical() is p and incident(a, p) and incident(b, p)
+        assert p.vector() == ProjPoint(p.coords).vector()
+        assert not any(G.cross(p.coords, G.cross(a.coeffs, b.coeffs)))
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_incidence_on_vectors_is_evaluate_is_zero(name):
+    """incident, read off the vectors, agrees with evaluate on seeded
+    points on and off seeded curves with p/q coefficients."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"incidence:{name}")
+    on = off = 0
+    while on < 40:
+        p = _random_point(rng, field)
+        twin = ProjPoint(tuple(c * _nonzero_scaling(rng, field) for c in p.coords))
+        curves = []
+        for values in (p.coords, p.monomials()):
+            coeffs = [_random_element(rng, field) for _ in values]
+            i = next(i for i, v in enumerate(values) if not v.is_zero())
+            through = list(coeffs)
+            through[i] = coeffs[i] - G.dot(coeffs, values) / values[i]
+            for cs in (coeffs, through):
+                try:
+                    curves.append(G.PlaneCurve(G.CurveForm(("line", "conic")[len(cs) > 3]),
+                                               tuple(cs)))
+                except (GeometryError, ValueError):  # degenerate or zero
+                    pass
+        for c in curves:
+            for q in (p, twin):
+                assert incident(c, q) is c.evaluate(q).is_zero()
+            on += incident(c, p)
+            off += not incident(c, p)
+    assert off > 20
+
+
 class TestConicConicPath:
     def test_four_base_points_from_two_split_members(self, monkeypatch):
         splits = _counted(monkeypatch, "_split_degenerate")
@@ -1215,6 +1285,25 @@ class TestCompletePair:
     def test_every_ordering_matches_intersect(self, name, kind):
         rng = random.Random(f"complete {name} {kind}")
         for f, g, _ in _oracle_pairs(rng, ORACLE_FIELDS[name], kind, 4):
+            for a, b in ((f, g), (g, f)):
+                want = intersect(a, b)
+                assert sorted(m for _, m in want) == ORACLE_KINDS[kind]
+                for trio in combinations([p for p, _ in want], 3):
+                    for known in permutations(trio):
+                        assert _exact(G._complete_pair(a, b, known)) == _exact(want)
+
+    @pytest.mark.parametrize("kind", ["transversal", "tangent"])
+    def test_conics_scaled_by_fractions_match_intersect(self, kind):
+        """Over Q the conics' integer vectors clear their denominators."""
+        rng = random.Random(f"complete scaled {kind}")
+
+        def scaled(c):
+            s = F(rng.choice((-1, 1)) * rng.randint(1, 10**9), rng.randint(2, 10**9))
+            return G.PlaneCurve(G.CurveForm.CONIC, tuple(x * s for x in c.coeffs))
+
+        for f, g, _ in _oracle_pairs(rng, Q, kind, 4):
+            f, g = scaled(f), scaled(g)
+            assert any(c.den > 1 for c in f.coeffs + g.coeffs)
             for a, b in ((f, g), (g, f)):
                 want = intersect(a, b)
                 assert sorted(m for _, m in want) == ORACLE_KINDS[kind]
@@ -1618,7 +1707,7 @@ def _met_by_last(rng, kind):
 
 def _seven_point_elements(monkeypatch):
     """The FieldElements built by extract_profile on the 21 conics through
-    five of SEVEN_POINTS."""
+    five of SEVEN_POINTS, by field arithmetic or by geometry directly."""
     conics = [conic(Q, *conic_through(s)) for s in combinations(SEVEN_POINTS, 5)]
     config = GeometricConfiguration(Q, tuple(conics))
     built = []
@@ -1629,6 +1718,7 @@ def _seven_point_elements(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(exactfield, "_element", counting)
+    monkeypatch.setattr(G, "_element", counting, raising=False)
     assert dict(extract_profile(config).t) == {2: 72, 3: 11, 15: 7}
     return len(built)
 
@@ -1670,6 +1760,19 @@ class TestExtractProfileSkipsKnownPairs:
         monkeypatch.setattr(F, "__eq__", lambda a, b: compared.append(b) or original(a, b))
         assert _seven_point_elements(monkeypatch) <= 4_500
         assert compared == []
+
+    def test_seven_point_conics_build_at_most_600_elements_and_take_10_inverses(
+        self, monkeypatch
+    ):
+        """Over Q incidence tests, completions and distinctness run on
+        integer vectors, and a completed point is built from its vector,
+        canonical with no inverse."""
+        taken = []
+        original = exactfield.FieldElement.inverse
+        monkeypatch.setattr(exactfield.FieldElement, "inverse",
+                            lambda self: taken.append(self) or original(self))
+        assert _seven_point_elements(monkeypatch) <= 600
+        assert len(taken) <= 10
 
     def test_cremona_image_conics_make_1_call_and_9_completions(
         self, intersect_calls, completions

@@ -125,6 +125,26 @@ def test_same_outputs_error_documents_are_refused(tmp_path, capsys):
         assert out == "" and message in err, name
 
 
+def test_same_outputs_fraction_documents_succeed(tmp_path, capsys):
+    """Each fractional document has p/q coefficients and geom accepts it."""
+    from harbourne import cli
+
+    want = {
+        "seven-point-conics": {"2": 72, "3": 11, "15": 7},
+        "eight-lines": {"2": 19, "3": 3},
+        "cremona-conics": {"2": 6, "3": 3, "4": 1, "7": 3},
+    }
+    docs = load_script("same_outputs").FRACTION_DOCS
+    assert set(docs) == set(want)
+    for name, doc in docs.items():
+        assert all(any("/" in str(c) for c in curve["coeffs"]) for curve in doc["curves"])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["geom", str(path), "--machine"]) == 0, name
+        out, err = capsys.readouterr()
+        assert json.loads(out)["analysis"]["profile"]["t"] == want[name] and err == ""
+
+
 def _row(index, argv, rc=0, stdout="", stderr="", workload="cli", seed=1):
     return {"workload": workload, "seed": seed, "index": index, "argv": argv,
             "rc": rc, "stdout": stdout, "stderr": stderr}
