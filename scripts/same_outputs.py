@@ -10,9 +10,10 @@ for the seeds 1, 2 and 3, warm-ups included, through its own
 ``perfbench/passrun.run_command``, in its own ``perfbench/workloads``
 order.  Then it runs ``geom --machine`` on each document of
 ``ERROR_DOCS``, conic pairs and a line pair that ``geom`` refuses, so the
-error paths are compared too, and on each of ``FRACTION_DOCS``, which
-succeed with ``p/q`` coefficients, so that clearing denominators is
-compared: 654 benchmark, 8 error and 3 fractional commands in all.
+error paths are compared too, two of them with ``p/q`` coefficients, and
+on each of ``FRACTION_DOCS``, which succeed with ``p/q`` coefficients, so
+that clearing denominators is compared: 654 benchmark, 10 error and 3
+fractional commands in all.
 The exit code, stdout and stderr of each command are compared
 between the sides, with the directory of the workload documents and the
 checkout's root written the same way on both (the ``cli`` parse-error
@@ -53,24 +54,6 @@ def _conics(field, *coeffs):
     return {"field": field, "curves": [{"type": "conic", "coeffs": c} for c in coeffs]}
 
 
-# Documents that geom refuses, written the same way for both sides.  The
-# second conic of each pair is X^2 - YZ plus a multiple of Y = 0 times a
-# line: through (1:1:1) and (2:4:1) (tangent), through (0:0:1) and (1:1:1)
-# (osculating).  The outside pair meets in (+-sqrt 2 : +-1 : 1).  The
-# completed pair is tangent at a point that the first conic finds with both.
-ERROR_DOCS = {
-    "tangent-q": _conics(_Q, _F, [1, 1, 0, -3, 0, 1]),
-    "tangent-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -3], 0, [-1, 2]]),
-    "osculating-q": _conics(_Q, _F, [1, 1, 0, -1, 0, -1]),
-    "osculating-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -1], 0, -1]),
-    "outside-q": _conics(_Q, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
-    "outside-sqrt5": _conics(_SQRT5, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
-    "completed-tangent-q": _conics(_Q, [6, 1, 0, -6, -6, 5], _F, [1, 1, 0, -3, 0, 1]),
-    "proportional": {"field": _Q, "curves": [{"type": "line", "coeffs": [1, 2, 3]},
-                                             {"type": "line", "coeffs": ["1/2", 1, "3/2"]}]},
-}
-
-
 def _scaled(kind, curves):
     """A rational document of integer curves, curve i times (-1)^i (2i+3)/(i+2)."""
     out = []
@@ -80,6 +63,28 @@ def _scaled(kind, curves):
             x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
             for x in coeffs]})
     return {"field": _Q, "curves": out}
+
+
+# Documents that geom refuses, written the same way for both sides.  The
+# second conic of each pair is X^2 - YZ plus a multiple of Y = 0 times a
+# line: through (1:1:1) and (2:4:1) (tangent), through (0:0:1) and (1:1:1)
+# (osculating).  The outside pair meets in (+-sqrt 2 : +-1 : 1).  The
+# completed pair is tangent at a point that the first conic finds with both.
+# The scaled osculating and outside pairs over Q, each conic times its own
+# p/q, meet where the lines of one split pencil member meet the first conic.
+ERROR_DOCS = {
+    "tangent-q": _conics(_Q, _F, [1, 1, 0, -3, 0, 1]),
+    "tangent-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -3], 0, [-1, 2]]),
+    "osculating-q": _conics(_Q, _F, [1, 1, 0, -1, 0, -1]),
+    "osculating-sqrt5": _conics(_SQRT5, _F, [1, [0, 1], 0, [0, -1], 0, -1]),
+    "outside-q": _conics(_Q, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
+    "outside-sqrt5": _conics(_SQRT5, [1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]),
+    "osculating-q-scaled": _scaled("conic", [_F, [1, 1, 0, -1, 0, -1]]),
+    "outside-q-scaled": _scaled("conic", [[1, 1, -3, 0, 0, 0], [-1, 1, 1, 0, 0, 0]]),
+    "completed-tangent-q": _conics(_Q, [6, 1, 0, -6, -6, 5], _F, [1, 1, 0, -3, 0, 1]),
+    "proportional": {"field": _Q, "curves": [{"type": "line", "coeffs": [1, 2, 3]},
+                                             {"type": "line", "coeffs": ["1/2", 1, "3/2"]}]},
+}
 
 
 def _cross(u, v):

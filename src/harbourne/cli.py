@@ -266,8 +266,11 @@ def _parse_search_class(token: str):
         return _CLASS_TOKENS[token]
     if token.startswith("plane-curve-p2:"):
         raw = token.split(":", 1)[1]
-        degree = int(raw) if raw.isdecimal() else 0
-        if degree < 1 or str(degree) != raw:  # int() also reads "03", "1_0"
+        try:
+            degree = _plain_int(raw)
+        except argparse.ArgumentTypeError:  # not plain, or past int()'s digit limit
+            degree = 0
+        if degree < 1:
             raise DocumentError(f"bad degree in class token {token!r}")
         return plane_curves(degree)
     raise DocumentError(f"unknown curve class {token!r}")

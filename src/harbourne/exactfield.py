@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .profiles import HarbourneError
@@ -463,7 +464,7 @@ def dot(us: Sequence[FieldElement], vs: Sequence[FieldElement]) -> FieldElement:
     field = getattr(us[0], "field", None)
     for x in (*us, *vs):
         if x.__class__ is not FieldElement or x.field is not field:
-            return sum(u * v for u, v in zip(us, vs))
+            return sum(map(mul, us, vs))
     table = field._table
     if table is None:
         # one running numerator over the lcm of the denominators so far

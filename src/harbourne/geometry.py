@@ -27,17 +27,19 @@ No field inverse is taken here outside :meth:`ProjPoint.canonical`, and
 over Q a point's identity and the order of a point list come from its
 integers alone.  Cross products and two-term sums are one
 :func:`~harbourne.exactfield.minor` or :func:`~harbourne.exactfield.dot`
-per coordinate.  Incidence tests, conic-pair completions, line crossings
-and the distinctness check read vectors: over Q a point's primitive
-integer vector and a curve's coefficients over their lcm, so they are
-int sums, and a point they make is built canonical from its integers
-with no inverse; over a number field the coordinates and coefficients.
-:func:`extract_profile` lists each point with every
+per coordinate.  Intersections, completions, incidence tests and the
+distinctness check read only vectors: a point's :meth:`ProjPoint.vector`
+and its monomials, a curve's coefficient vector and a conic's S of that
+vector, kept from construction.  Over Q these are a point's primitive
+integer vector and a curve's coefficients over their lcm, so the forms
+are int sums, and a line crossing or completed point is built canonical
+from its integers with no inverse; over a number field they are the
+coordinates and coefficients.  The field is told apart only where the
+vectors are built.  :func:`extract_profile` lists each point with every
 curve through it when a pair first finds it.  A pair with as many listed
 common points as its Bezout number is skipped, a conic pair with three
 is completed where the lines of two split pencil members cross, and any
-other pair is intersected.  Each conic keeps its matrix S from
-construction.
+other pair is intersected.
 """
 
 from __future__ import annotations
@@ -105,15 +107,14 @@ class ProjPoint:
 
     Equality and hashing compare the integer identity, the (num, den) of
     each canonical coordinate.  It is computed on first use, as are the
-    :meth:`vector` that incidence tests and completions read, the
-    monomials that :meth:`PlaneCurve.evaluate` reads and, per conic, the
-    gradient S p.  Each is kept on this object, never shared with a
+    :meth:`vector` and its :meth:`monomials`, which incidence tests and
+    intersections read.  Each is kept on this object, never shared with a
     scaled copy.
     """
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
     # per-object caches, set on first use
-    _id = _key = _vec = _mono = _grads = None
+    _id = _key = _vec = _mono = None
 
     def __post_init__(self):
         if len(self.coords) != 3:
@@ -176,10 +177,11 @@ class ProjPoint:
             object.__setattr__(self, "_vec", vec)
         return self._vec
 
-    def monomials(self) -> tuple[FieldElement, ...]:
-        """x^2, y^2, z^2, xy, xz, yz, in conic coefficient order, computed once."""
+    def monomials(self) -> tuple:
+        """x^2, y^2, z^2, xy, xz, yz of :meth:`vector`, in conic coefficient
+        order, computed once."""
         if self._mono is None:
-            object.__setattr__(self, "_mono", _monomials(*self.coords))
+            object.__setattr__(self, "_mono", _monomials(*self.vector()))
         return self._mono
 
     def __eq__(self, other) -> bool:
@@ -250,15 +252,15 @@ class CurveForm(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PlaneCurve:
-    """Line a*X+b*Y+c*Z or conic a*X^2+b*Y^2+c*Z^2+d*XY+e*XZ+f*YZ."""
+    """Line a*X+b*Y+c*Z or conic a*X^2+b*Y^2+c*Z^2+d*XY+e*XZ+f*YZ.
+
+    Intersections read the vector set at construction, over Q the
+    coefficients over their lcm as ints, and a conic's one matrix S of it.
+    """
 
     form: CurveForm
     coeffs: tuple[FieldElement, ...]
-    # set at construction: a conic's doubled matrix S, and the vectors
-    # that incidence tests and completions read, over Q the coefficients
-    # over their lcm, as ints, and a conic's S of those, over a number
-    # field coeffs and S
-    _matrix = _vec = _vmat = None
+    _vec = _vmat = None
 
     def __post_init__(self):
         expected = 3 if self.form is CurveForm.LINE else 6
@@ -275,14 +277,13 @@ class PlaneCurve:
             vec = tuple(c.num[0] * (den // c.den) for c in vec)
         object.__setattr__(self, "_vec", vec)
         if self.form is CurveForm.CONIC:
-            s = _doubled(*self.coeffs)
-            if det3(s).is_zero():
+            s = _doubled(*vec)
+            if not det3(s):
                 raise GeometryError(
                     "conic is degenerate (zero determinant), hence reducible; "
                     "only irreducible conics are supported"
                 )
-            object.__setattr__(self, "_matrix", s)
-            object.__setattr__(self, "_vmat", _doubled(*vec) if first.is_rational else s)
+            object.__setattr__(self, "_vmat", s)
 
     @property
     def field(self) -> ExactField:
@@ -295,17 +296,13 @@ class PlaneCurve:
     def evaluate(self, p: ProjPoint) -> FieldElement:
         if self.form is CurveForm.LINE:
             return dot(self.coeffs, p.coords)
-        return dot(self.coeffs, p.monomials())
+        return dot(self.coeffs, _monomials(*p.coords))
 
     def gradient(self, p: ProjPoint) -> tuple[FieldElement, ...]:
-        """S p for a conic, kept on p per conic; the coefficients for a line."""
+        """S p for a conic; the coefficients for a line."""
         if self.form is CurveForm.LINE:
             return self.coeffs
-        if p._grads is None:
-            object.__setattr__(p, "_grads", {})
-        if self not in p._grads:
-            p._grads[self] = mat_vec(self._matrix, p.coords)
-        return p._grads[self]
+        return mat_vec(_doubled(*self.coeffs), p.coords)
 
     def __str__(self):
         return f"{self.form.value}[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -360,9 +357,7 @@ class GeometricConfiguration:
 def incident(curve: PlaneCurve, p: ProjPoint) -> bool:
     """evaluate(p) is zero, tested on the vectors: over Q an int sum."""
     _same_field(curve, p)
-    v = p.vector()
-    if curve.form is CurveForm.CONIC:
-        v = _monomials(*v) if p.field.is_rational else p.monomials()
+    v = p.vector() if curve.form is CurveForm.LINE else p.monomials()
     return not dot(curve._vec, v)
 
 
@@ -424,8 +419,9 @@ def binary_form_roots(coeffs: Sequence[FieldElement], field: ExactField):
     Returns (roots, found_total) where roots is a list of
     ((t, u), multiplicity) pairs and found_total counts multiplicity over
     the in-field roots; the form's degree minus found_total is the part
-    living in proper extensions.
+    living in proper extensions.  Coefficients may be ints.
     """
+    coeffs = [field.element(c) for c in coeffs]
     degree = len(coeffs) - 1
     if all(c.is_zero() for c in coeffs):
         raise ValueError("zero binary form")
@@ -482,42 +478,34 @@ def intersect(c1: PlaneCurve, c2: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     return pts
 
 
-def _span_of_line(l: PlaneCurve) -> tuple[ProjPoint, ProjPoint]:
-    a, b, c = l.coeffs
-    field = l.field
-    if not a.is_zero():
-        p1 = point(field, -b, a, 0)
-        p2 = point(field, -c, 0, a)
-    elif not b.is_zero():
-        p1 = point(field, 1, 0, 0)
-        p2 = point(field, 0, -c, b)
-    else:
-        p1 = point(field, 1, 0, 0)
-        p2 = point(field, 0, 1, 0)
-    return p1, p2
+def _span_of_line(v: Sequence) -> tuple[tuple, tuple]:
+    """Two vectors spanning the line with coefficient vector v."""
+    a, b, c = v
+    if a:
+        return (-b, a, 0), (-c, 0, a)
+    if b:
+        return (1, 0, 0), (0, -c, b)
+    return (1, 0, 0), (0, 1, 0)
 
 
 def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
     """p^T S q = Q(p+q) - Q(p) - Q(q), the polarization of the conic."""
-    return dot(p.coords, mat_vec(c._matrix, q.coords))
-
-
-def _combine_points(t: FieldElement, a: ProjPoint, u: FieldElement, b: ProjPoint):
-    return tuple(dot((t, u), xy) for xy in zip(a.coords, b.coords))
+    return dot(p.coords, mat_vec(_doubled(*c.coeffs), q.coords))
 
 
 def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int]], int]:
     """The in-field points where line l meets conic q, canonical and
     sorted by sort_key, with their multiplicities, and the total of those
-    multiplicities (2 when both points are in the field)."""
-    a, b = _span_of_line(l)
-    # Q(t*a + u*b) = alpha t^2 + beta t u + gamma u^2
-    alpha = q.evaluate(a)
-    gamma = q.evaluate(b)
-    beta = _conic_bilinear(q, a, b)
+    multiplicities (2 when both points are in the field).  The line is
+    spanned by two vectors a, b built from its vector, and q(t*a + u*b) is
+    read off q's vector and S."""
+    a, b = _span_of_line(l._vec)
+    # q(t*a + u*b) = alpha t^2 + beta t u + gamma u^2
+    alpha, gamma = (dot(q._vec, _monomials(*v)) for v in (a, b))
+    beta = dot(a, mat_vec(q._vmat, b))
     roots, found = binary_form_roots([gamma, beta, alpha], l.field)
     pts = [
-        (ProjPoint(_combine_points(t, a, u, b)).canonical(), mult)
+        (ProjPoint(tuple(dot((t, u), xy) for xy in zip(a, b))).canonical(), mult)
         for (t, u), mult in roots
     ]
     return _in_order(pts), found
@@ -545,9 +533,12 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     T*QR, T*PQ and T^2 split; for (2,2) the double line PQ^2 splits.  So
     the other three base points form one Galois orbit, and a resultant
     projection finds the lone point, if any.
+
+    The cubic and the members are taken from the conics' stored S, over Q
+    integer matrices, and a crossing Li x Lj from the lines' vectors.
     """
     field = f.field
-    sf, sg = f._matrix, g._matrix
+    sf, sg = f._vmat, g._vmat
 
     def member(lam: FieldElement, mu: FieldElement) -> Mat3:
         return tuple(tuple(dot((lam, mu), st) for st in zip(*rows)) for rows in zip(sf, sg))
@@ -577,7 +568,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
             raise AssertionError("no member splits, yet two base points are in K")
     else:
         if len(split) == 2:
-            on_lines = [(ProjPoint(cross(a.coeffs, b.coeffs)).canonical(), 1)
+            on_lines = [(_point_from_vector(field, cross(a._vec, b._vec)).canonical(), 1)
                         for a in split[0] for b in split[1]]
         else:
             on_lines = [pm for l in split[0] for pm in _line_conic(l, f)[0]]
@@ -623,15 +614,11 @@ def _complete_pair(
     adds 1 at P3 and at its second point X on f.  Likewise R' = P1 + P3
     gives the line M' = g(R')*Sf P2 - f(R')*Sg P2 through P2 and X.  M and
     M' differ, or P2, P3 and X would lie on one line meeting f three
-    times, so X = M x M', whichever known point it may be.  Over Q all of
-    this is taken on the integer vectors of the points and conics.
+    times, so X = M x M', whichever known point it may be.  All of this is
+    taken on the vectors of the points and conics.
     """
     p1, p2, p3 = known
-    rational = f.field.is_rational
-    fp2, gp2, fp3, gp3 = (
-        mat_vec(c._vmat, p.vector()) if rational else c.gradient(p)
-        for p in (p2, p3) for c in (f, g)
-    )
+    fp2, gp2, fp3, gp3 = (mat_vec(c._vmat, p.vector()) for p in (p2, p3) for c in (f, g))
     v1 = p1.vector()
     fr, gr, fr3, gr3 = (dot(v1, grad) for grad in (fp2, gp2, fp3, gp3))
     m = [minor(gr, a, fr, b) for a, b in zip(fp3, gp3)]
@@ -722,7 +709,7 @@ def _resultant_candidates(f: PlaneCurve, g: PlaneCurve) -> list[ProjPoint]:
         coeffs = [field.zero()] * 3
         coeffs[a], coeffs[b] = u, -t
         on_line, _ = _line_conic(PlaneCurve(CurveForm.LINE, tuple(coeffs)), f)
-        out.extend(pt for pt, _ in on_line if g.evaluate(pt).is_zero())
+        out.extend(pt for pt, _ in on_line if incident(g, pt))
     return out
 
 
@@ -779,9 +766,9 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     the profile, and the first error with the pair and point it names,
     are those of intersecting every pair.
 
-    Over Q the evaluations and completions are int sums on the integer
-    vectors; over a number field a point keeps its monomials and its
-    gradient per conic, so they are computed once per listed point.
+    The evaluations and completions read the vectors, over Q as int sums,
+    and a point keeps its monomials, so they are computed once per listed
+    point.
     """
     curves = config.curves
     if len(curves) < 2:
@@ -929,7 +916,7 @@ def apply_to_curve(m_inverse: Mat3, c: PlaneCurve) -> PlaneCurve:
     if c.form is CurveForm.LINE:
         coeffs = mat_vec(transpose(m_inverse), c.coeffs)
         return PlaneCurve(CurveForm.LINE, tuple(coeffs))
-    s = mat_mul(transpose(m_inverse), mat_mul(c._matrix, m_inverse))
+    s = mat_mul(transpose(m_inverse), mat_mul(_doubled(*c.coeffs), m_inverse))
     half = c.field.element(Fraction(1, 2))
     coeffs = (s[0][0] * half, s[1][1] * half, s[2][2] * half, s[0][1], s[0][2], s[1][2])
     return PlaneCurve(CurveForm.CONIC, coeffs)

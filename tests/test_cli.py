@@ -587,7 +587,8 @@ def test_search_has_no_limit_option():
     assert "unrecognized arguments: --limit 5" in r.stderr
 
 
-@pytest.mark.parametrize("degree", ["1_0", " 3", "03", "+3", "3 ", "0", "-3", "x", ""])
+@pytest.mark.parametrize("degree", ["1_0", " 3", "03", "+3", "3 ", "0", "-3", "x", "",
+                                    pytest.param("9" * 5000, id="5000-digits")])
 def test_search_class_degree_is_a_plain_decimal(capsys, degree):
     token = f"plane-curve-p2:{degree}"
     code, out, err = run_in_process(["search", "--class", token, "--k", "3"], capsys)

@@ -935,8 +935,9 @@ def test_integer_order_is_the_sort_key_order(name):
 
 @pytest.mark.parametrize("name", ["Q", "sqrt5"])
 def test_cached_monomials_and_gradients_match_the_formulas(name):
-    """A point keeps its own monomials and gradients, even when a scaled
-    copy of it was evaluated first: the copy's are those of its coordinates."""
+    """A point keeps the monomials of its own vector, computed once, even
+    when a scaled copy of it was evaluated first; a conic's gradient is S p
+    on each point's coordinates."""
     field = ORACLE_FIELDS[name]
     rng = random.Random(f"caches:{name}")
     checked = 0
@@ -950,18 +951,17 @@ def test_cached_monomials_and_gradients_match_the_formulas(name):
         s = _nonzero_scaling(rng, field)
         twin = ProjPoint(tuple(c * s for c in p.coords))
         for pt in (twin, p):
-            x, y, z = pt.coords
+            x, y, z = pt.vector()
             assert pt.monomials() == (x * x, y * y, z * z, x * y, x * z, y * z)
             assert pt.monomials() is pt.monomials()
+            x, y, z = pt.coords
             for k in conics:
                 a, b, c, d, e, f = k.coeffs
-                grad = k.gradient(pt)
-                assert grad == (
+                assert k.gradient(pt) == (
                     2 * a * x + d * y + e * z,
                     d * x + 2 * b * y + f * z,
                     e * x + f * y + 2 * c * z,
                 )
-                assert k.gradient(pt) is grad
                 assert k.evaluate(pt) == _conic_by_terms(k, pt)
         for k in conics:
             assert k.gradient(twin) == tuple(s * g for g in k.gradient(p))
@@ -1018,7 +1018,7 @@ def test_incidence_on_vectors_is_evaluate_is_zero(name):
         p = _random_point(rng, field)
         twin = ProjPoint(tuple(c * _nonzero_scaling(rng, field) for c in p.coords))
         curves = []
-        for values in (p.coords, p.monomials()):
+        for values in (p.coords, G._monomials(*p.coords)):
             coeffs = [_random_element(rng, field) for _ in values]
             i = next(i for i, v in enumerate(values) if not v.is_zero())
             through = list(coeffs)
@@ -1035,6 +1035,127 @@ def test_incidence_on_vectors_is_evaluate_is_zero(name):
             on += incident(c, p)
             off += not incident(c, p)
     assert off > 20
+
+
+def _line_conic_on_coords(l, q):
+    """intersect(l, q) for a line l and a conic q, read off coordinates: l
+    is spanned by two points built from its coefficients, and the roots of
+    q(t*a + u*b), from evaluate and the polarization, give the points."""
+    field = l.field
+    a, b, c = l.coeffs
+    if not a.is_zero():
+        pa, pb = point(field, -b, a, 0), point(field, -c, 0, a)
+    elif not b.is_zero():
+        pa, pb = point(field, 1, 0, 0), point(field, 0, -c, b)
+    else:
+        pa, pb = point(field, 1, 0, 0), point(field, 0, 1, 0)
+    form = [q.evaluate(pb), G._conic_bilinear(q, pa, pb), q.evaluate(pa)]
+    roots, found = G.binary_form_roots(form, field)
+    pts = sorted(
+        ((ProjPoint(tuple(t * x + u * y for x, y in zip(pa.coords, pb.coords))).canonical(), m)
+         for (t, u), m in roots),
+        key=lambda pm: pm[0].sort_key(),
+    )
+    if found < 2:
+        raise IntersectionOutsideField(
+            f"line/conic meet in {found} in-field point(s) of 2 over {field.label()}",
+            found=pts,
+            expected=2,
+        )
+    return pts
+
+
+def _scaled_by_a_fraction(rng, c):
+    """c with its coefficients times a random nonzero element whose
+    coefficients have numerators and denominators up to 10^6."""
+    field = c.field
+    s = field.zero()
+    while s.is_zero():
+        s = field.element([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                           for _ in range(field.degree)])
+    return G.PlaneCurve(c.form, tuple(x * s for x in c.coeffs))
+
+
+@pytest.mark.parametrize("name", ["Q", "sqrt5"])
+def test_line_conic_matches_the_coordinate_parametrization(name):
+    """intersect of a line and a conic with p/q coefficients gives exactly
+    the list, message and found points of _line_conic_on_coords.  The line
+    is the chord P1P2 or the tangent at P1 of a conic through five points,
+    the first `fixed` of them (1:0:0) and (0:1:0), or a line whose first
+    `fixed` coefficients are 0 meeting the conic outside the field, so
+    that lines with a = 0 and with a = b = 0 occur."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"line conic {name}")
+    vertices = [point(field, 1, 0, 0), point(field, 0, 1, 0)]
+    want = {"transversal": [1, 1], "tangent": [2], "outside": None}
+    zeros = set()
+    for fixed in range(3):
+        for kind in want:
+            done = 0
+            while done < 3:
+                pts = _random_field_points(rng, field, 5)
+                if pts is None:
+                    continue
+                if kind != "outside":
+                    pts = vertices[:fixed] + pts[fixed:]
+                if any(G.det3((a.coords, b.coords, c.coords)).is_zero()
+                       for a, b, c in combinations(pts, 3)):
+                    continue
+                q = _conic_through_points(pts)
+                if kind == "transversal":
+                    l = _line_through(pts[0], pts[1])
+                elif kind == "tangent":
+                    l = G.PlaneCurve(G.CurveForm.LINE, q.gradient(pts[0]))
+                else:
+                    coeffs = [field.zero()] * fixed + [
+                        field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+                        for _ in range(3 - fixed)]
+                    if coeffs[2].is_zero():
+                        continue
+                    l = G.PlaneCurve(G.CurveForm.LINE, tuple(coeffs))
+                l, q = _scaled_by_a_fraction(rng, l), _scaled_by_a_fraction(rng, q)
+                expected = _intersect_outcome(_line_conic_on_coords, l, q)
+                if kind == "outside" and expected[1] is None:
+                    continue  # a random line meeting the conic in the field
+                assert any(c.den > 1 for c in l.coeffs + q.coeffs)
+                for a, b in ((l, q), (q, l)):
+                    assert _intersect_outcome(intersect, a, b) == expected
+                if want[kind] is None:
+                    assert expected == ([], (f"line/conic meet in 0 in-field point(s) of 2 "
+                                             f"over {field.label()}", 2))
+                else:
+                    assert [m for _, m in expected[0]] == want[kind]
+                zeros.add(next(i for i, c in enumerate(l.coeffs) if not c.is_zero()))
+                done += 1
+    assert zeros == {0, 1, 2}
+
+
+def test_transversal_pair_over_q_inverts_only_in_root_finding(monkeypatch):
+    """Over Q the base points of a transversal pair, read off two split
+    pencil members, are the crossings of the members' lines, built from
+    their integer vectors: every inverse is taken inside roots_in_field."""
+    rng = random.Random("transversal inverses")
+    pairs = [(CIRCLE2, HYPER)] + [
+        (_scaled_by_a_fraction(rng, f), _scaled_by_a_fraction(rng, g))
+        for f, g, _ in _oracle_pairs(rng, Q, "transversal", 4)
+    ]
+    inside, outside = [], []
+    original = exactfield.FieldElement.inverse
+
+    def inverse(self):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        (inside if "roots_in_field" in names else outside).append(self)
+        return original(self)
+
+    monkeypatch.setattr(exactfield.FieldElement, "inverse", inverse)
+    splits = _counted(monkeypatch, "_split_degenerate")
+    for f, g in pairs:
+        assert [m for _, m in intersect(f, g)] == [1, 1, 1, 1]
+    assert sum(lines is not None for lines in splits) == 2 * len(pairs)
+    assert inside and outside == []
 
 
 class TestConicConicPath:
@@ -1126,7 +1247,7 @@ def _one_member_intersect(f, g):
     multiplicity is the sum of theirs.  The resultant fallback serves when
     no member splits."""
     field = f.field
-    sf, sg = f._matrix, g._matrix
+    sf, sg = (G._doubled(*c.coeffs) for c in (f, g))
     cubic = [G.det3(sg), None, None, G.det3(sf)]
     for k, (s, t) in ((1, (sf, sg)), (2, (sg, sf))):
         adj = G.adjugate3(t)
@@ -1319,7 +1440,7 @@ def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
     field = ORACLE_FIELDS["sqrt5"]
     theta = field.generator()
     f = conic(field, 1, 2, 3, 4, 5, theta)
-    assert f._matrix == tuple(
+    assert f._vmat == tuple(
         tuple(field.element(v) if isinstance(v, int) else v for v in row)
         for row in ((2, 4, 5), (4, 4, theta), (5, theta, 6))
     )

@@ -115,11 +115,11 @@ def test_same_outputs_error_documents_are_refused(tmp_path, capsys):
         "proportional": (1, "curves must be pairwise distinct"),
     }
     docs = load_script("same_outputs").ERROR_DOCS
-    assert len(docs) == 8
+    assert len(docs) == 10
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        rc, message = want[name.removesuffix("-q").removesuffix("-sqrt5")]
+        rc, message = want[name.removesuffix("-scaled").removesuffix("-q").removesuffix("-sqrt5")]
         assert cli.main(["geom", str(path), "--machine"]) == rc, name
         out, err = capsys.readouterr()
         assert out == "" and message in err, name
