@@ -12,7 +12,7 @@ order.  Then it runs ``geom --machine`` on each document of
 ``ERROR_DOCS``, conic pairs and a line pair that ``geom`` refuses, so the
 error paths are compared too, two of them with ``p/q`` coefficients, and
 on each of ``FRACTION_DOCS``, which succeed with ``p/q`` coefficients, so
-that clearing denominators is compared: 654 benchmark, 10 error and 3
+that clearing denominators is compared: 654 benchmark, 10 error and 4
 fractional commands in all.
 The exit code, stdout and stderr of each command are compared
 between the sides, with the directory of the workload documents and the
@@ -40,7 +40,7 @@ from bench_pairs import ROOT, export_revision, export_working_tree  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import oracles  # noqa: E402
-from workloads import CREMONA_LINES, SEVEN_POINTS  # noqa: E402
+from workloads import CREMONA_LINES, NF_FIELDS, SEVEN_POINTS, SQRT5_SIX_POINTS  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SHOWN = 10
@@ -54,15 +54,20 @@ def _conics(field, *coeffs):
     return {"field": field, "curves": [{"type": "conic", "coeffs": c} for c in coeffs]}
 
 
-def _scaled(kind, curves):
-    """A rational document of integer curves, curve i times (-1)^i (2i+3)/(i+2)."""
+def _rational(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _scaled(kind, curves, field=_Q):
+    """A document of integer curves, curve i times (-1)^i (2i+3)/(i+2); over
+    a number field each coefficient is a list of integers."""
     out = []
     for i, c in enumerate(curves):
-        coeffs = [Fraction((-1) ** i * (2 * i + 3), i + 2) * x for x in c]
+        s = Fraction((-1) ** i * (2 * i + 3), i + 2)
         out.append({"type": kind, "coeffs": [
-            x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-            for x in coeffs]})
-    return {"field": _Q, "curves": out}
+            [_rational(s * y) for y in x] if isinstance(x, list) else _rational(s * x)
+            for x in c]})
+    return {"field": field, "curves": out}
 
 
 # Documents that geom refuses, written the same way for both sides.  The
@@ -91,10 +96,14 @@ def _cross(u, v):
     return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
 
+_SQRT5_POINTS = [tuple(map(oracles.Field(NF_FIELDS["sqrt5"]), p)) for p in SQRT5_SIX_POINTS]
+
 # Documents that geom accepts, with p/q coefficients: the 21 conics
 # through 5-subsets of SEVEN_POINTS, the seven sides of the heptagon
-# they span and the diagonal from the first to the fourth, and the
-# Cremona images a*YZ + b*XZ + c*XY of CREMONA_LINES.
+# they span and the diagonal from the first to the fourth, the Cremona
+# images a*YZ + b*XZ + c*XY of CREMONA_LINES, and over Q(sqrt 5) the 15
+# lines through two of SQRT5_SIX_POINTS, whose crossings are points whose
+# lead coordinate is not 1 until it is divided out.
 FRACTION_DOCS = {
     "seven-point-conics": _scaled("conic", [
         [int(x.c[0]) for x in oracles.conic_through(
@@ -104,6 +113,9 @@ FRACTION_DOCS = {
         _cross(p, q) for p, q in zip(SEVEN_POINTS, SEVEN_POINTS[1:] + SEVEN_POINTS[:1])
     ] + [_cross(SEVEN_POINTS[0], SEVEN_POINTS[3])]),
     "cremona-conics": _scaled("conic", [[0, 0, 0, c, b, a] for a, b, c in CREMONA_LINES]),
+    "sqrt5-lines": _scaled("line", [
+        [[int(c) for c in x.c] for x in oracles.cross(p, q)]
+        for p, q in combinations(_SQRT5_POINTS, 2)], _SQRT5),
 }
 
 # Runs in a fresh interpreter: argv is ROOT DOCS OUT and the seeds; the

@@ -186,7 +186,8 @@ def _load_json(path: str):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}")
-    except ValueError as err:  # malformed JSON, a repeated key or bad UTF-8
+    # malformed JSON, a repeated key, bad UTF-8 or nesting past the recursion limit
+    except (ValueError, RecursionError) as err:
         raise DocumentError(f"invalid JSON in {path}: {err}")
 
 

@@ -17,14 +17,15 @@ Geometry document:
 Rationals are written as integers or "p/q" strings of ASCII digits
 with an optional leading "-"; number-field elements as arrays of
 rationals (coefficients of powers of the generator), non-empty and no
-longer than the field degree.  Unknown keys are rejected,
-multiplicities below 2 are rejected at parse time, and every error
-carries the offending location.
+longer than the field degree.  Unknown keys, multiplicities below 2
+and profile integers too wide to print (:func:`_expect_int`) are
+rejected at parse time, and every error carries the offending location.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .exactfield import ExactField, FieldElement, RATIONALS
@@ -63,8 +64,15 @@ def _expect_keys(obj: dict, allowed: set[str], required: set[str], loc: str):
 
 
 def _expect_int(value, loc: str) -> int:
+    """A profile document's integer, with at most a fifth of the
+    interpreter's int-string limit in digits: every integer an analysis
+    prints is a polynomial of degree at most 4 in these, d^2*C(k,2) the
+    widest, so it stays printable."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"expected an integer, got {value!r}", loc)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() // 5
+    if cap and value.bit_length() > 3 * cap and abs(value) >= 10**cap:  # 2^3 < 10
+        raise DocumentError(f"integer has more than {cap} digits", loc)
     return value
 
 
@@ -115,6 +123,7 @@ def profile_from_document(obj) -> ConfigurationProfile:
             raise DocumentError(f"multiplicity key {key!r} is not an integer", loc)
         if r < 2:
             raise DocumentError(f"multiplicity {r} is below the minimum 2", loc)
+        _expect_int(r, loc)
         count = _expect_int(value, loc)
         if count < 0:
             raise DocumentError(f"count {count} is negative", loc)

@@ -607,15 +607,15 @@ def roots_in_field(
         return []
     if len(poly) == 2:
         return [(-poly[0] / poly[1], 1)]
-    monic = kx_monic(poly)
     # the factorizer proves a square-free f (the transversal case) so, and
-    # then every root is simple: over Q on f itself, over K on its norm at
-    # shift 0, which is square-free only if f is
+    # then every root is simple: over Q on f's integers, over K on the norm
+    # of monic f at shift 0, which is square-free only if f is
     if field.is_rational:
-        roots = _rational_roots(_integers(monic))
+        roots = _rational_roots(_integers(poly))
         if roots is not None:
             return [(field.element(r), 1) for r in roots]
-    else:
+    monic = kx_monic(poly)
+    if not field.is_rational:
         roots = _shift_roots(monic, field, 0)
         if roots is not None:
             return [(r, 1) for r in roots]

@@ -23,8 +23,11 @@ closed-form resultant of the first coordinate projection that does not
 vanish identically finds it: the line from the projection centre to each
 in-field root of the resultant meets the first conic, and a point of it
 on the second conic is the lone point.
-No field inverse is taken here outside :meth:`ProjPoint.canonical`, and
-over Q a point's identity and the order of a point list come from its
+A point is stored canonical, first nonzero coordinate 1, with one
+integer key that equality and hashing compare: over Q its primitive
+integer vector, over a number field the (num, den) of its coordinates.
+No field inverse is taken here outside the construction of a point over
+a number field, and over Q the order of a point list comes from its
 integers alone.  Cross products and two-term sums are one
 :func:`~harbourne.exactfield.minor` or :func:`~harbourne.exactfield.dot`
 per coordinate.  Intersections, completions, incidence tests and the
@@ -32,14 +35,14 @@ distinctness check read only vectors: a point's :meth:`ProjPoint.vector`
 and its monomials, a curve's coefficient vector and a conic's S of that
 vector, kept from construction.  Over Q these are a point's primitive
 integer vector and a curve's coefficients over their lcm, so the forms
-are int sums, and a line crossing or completed point is built canonical
-from its integers with no inverse; over a number field they are the
-coordinates and coefficients.  The field is told apart only where the
-vectors are built.  :func:`extract_profile` lists each point with every
-curve through it when a pair first finds it.  A pair with as many listed
-common points as its Bezout number is skipped, a conic pair with three
-is completed where the lines of two split pencil members cross, and any
-other pair is intersected.
+are int sums, and a line crossing or completed point is built from its
+integers with no inverse; over a number field they are the coordinates
+and coefficients.  The field is told apart only where the vectors are
+built.  :func:`extract_profile` lists each point with every curve
+through it, keyed by the point, when a pair first finds it.  A pair with
+as many listed common points as its Bezout number is skipped, a conic
+pair with three is completed where the lines of two split pencil members
+cross, and any other pair is intersected.
 """
 
 from __future__ import annotations
@@ -103,85 +106,56 @@ class DegreeOutOfRangeError(GeometryError):
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """Point of the projective plane; equality is projective.
+    """Point of the projective plane, stored canonical: its first nonzero
+    coordinate is 1.
 
-    Equality and hashing compare the integer identity, the (num, den) of
-    each canonical coordinate.  It is computed on first use, as are the
-    :meth:`vector` and its :meth:`monomials`, which incidence tests and
-    intersections read.  Each is kept on this object, never shared with a
-    scaled copy.
+    Equality and hashing compare one integer key fixed at construction.
+    Over Q it is the primitive integer vector, first nonzero entry
+    positive, which is also :meth:`vector`, and the coordinates are x_i /
+    x_first with no inverse taken.  Over a number field it is the (num,
+    den) of each coordinate, after one inverse unless the lead coordinate
+    is already 1, and :meth:`vector` is the coordinates.  The
+    :meth:`monomials` are computed on first use.
     """
 
     coords: tuple[FieldElement, FieldElement, FieldElement]
-    # per-object caches, set on first use
-    _id = _key = _vec = _mono = None
+    _key = _vec = _mono = None
 
     def __post_init__(self):
-        if len(self.coords) != 3:
+        coords = self.coords
+        if len(coords) != 3:
             raise ValueError("a projective point has three coordinates")
-        first = self.coords[0].field
-        if any(c.field is not first and c.field != first for c in self.coords):
+        field = coords[0].field
+        if any(c.field is not field and c.field != field for c in coords):
             raise GeometryError("coordinates must share one field")
-        if all(c.is_zero() for c in self.coords):
+        if all(c.is_zero() for c in coords):
             raise ValueError("(0:0:0) is not a projective point")
+        if field.is_rational:
+            den = lcm(*(c.den for c in coords))
+            _set_vector(self, field, tuple(c.num[0] * (den // c.den) for c in coords))
+            return
+        lead = next(c for c in coords if c)
+        if lead.den != 1 or lead.num[0] != 1 or any(lead.num[1:]):  # lead is not 1
+            inv = lead.inverse()
+            coords = tuple(x * inv for x in coords)
+            object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_key", tuple((c.num, c.den) for c in coords))
+        object.__setattr__(self, "_vec", coords)
 
     @property
     def field(self) -> ExactField:
         return self.coords[0].field
 
-    def canonical(self) -> "ProjPoint":
-        """Scale so the first nonzero coordinate is 1; self if it is."""
-        for c in self.coords:
-            if not c.is_zero():
-                if c.den == 1 and c.num[0] == 1 and not any(c.num[1:]):  # c is 1
-                    return self
-                inv = c.inverse()
-                return ProjPoint(tuple(x * inv for x in self.coords))
-        raise AssertionError("unreachable: zero point")
-
-    def identity(self) -> tuple:
-        """The (num, den) of each canonical coordinate, computed once; over
-        Q by cross-multiplying with the first nonzero coordinate."""
-        if self._id is None:
-            if self.field.is_rational:
-                n0, d0 = next((c.num[0], c.den) for c in self.coords if c.num[0])
-                ident = []
-                for c in self.coords:
-                    n, d = c.num[0] * d0, c.den * n0
-                    g = gcd(n, d) if d > 0 else -gcd(n, d)
-                    ident.append(((n // g,), d // g))
-                ident = tuple(ident)
-            else:
-                ident = tuple((c.num, c.den) for c in self.canonical().coords)
-            object.__setattr__(self, "_id", ident)
-        return self._id
-
-    def sort_key(self):
-        """Coefficients of the canonical coordinates, computed once: the
-        reference for :func:`_in_order`."""
-        if self._key is None:
-            key = tuple(c.coeffs for c in self.canonical().coords)
-            object.__setattr__(self, "_key", key)
-        return self._key
-
     def vector(self) -> tuple:
-        """Over Q the primitive integer vector, first nonzero entry
-        positive, read off the identity; over a number field the
-        coordinates.  Computed once."""
-        if self._vec is None:
-            vec = self.coords
-            if self.field.is_rational:
-                ident = self.identity()
-                den = lcm(*(d for _, d in ident))
-                vec = tuple(n * (den // d) for (n,), d in ident)
-            object.__setattr__(self, "_vec", vec)
+        """Over Q the primitive integer vector, over a number field the
+        coordinates: what incidence tests and intersections read."""
         return self._vec
 
     def monomials(self) -> tuple:
         """x^2, y^2, z^2, xy, xz, yz of :meth:`vector`, in conic coefficient
         order, computed once."""
         if self._mono is None:
-            object.__setattr__(self, "_mono", _monomials(*self.vector()))
+            object.__setattr__(self, "_mono", _monomials(*self._vec))
         return self._mono
 
     def __eq__(self, other) -> bool:
@@ -189,10 +163,10 @@ class ProjPoint:
             return NotImplemented
         if self.field != other.field:
             return False
-        return self.identity() == other.identity()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self.identity())
+        return hash(self._key)
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -201,22 +175,31 @@ class ProjPoint:
         return f"ProjPoint{self}"
 
 
+def _set_vector(p: ProjPoint, field: ExactField, v: Sequence[int]) -> None:
+    """Store on p, over Q, the point of the nonzero integer vector v: v
+    divided by its content and signed so its first nonzero entry is
+    positive is the key and the vector, and the coordinates are its
+    entries over that first one."""
+    first = next(x for x in v if x)
+    g = gcd(*v) if first > 0 else -gcd(*v)
+    vec = tuple(x // g for x in v)
+    object.__setattr__(p, "coords", tuple(_element(field, (x,), first // g) for x in vec))
+    object.__setattr__(p, "_key", vec)
+    object.__setattr__(p, "_vec", vec)
+
+
 def point(field: ExactField, x, y, z) -> ProjPoint:
     return ProjPoint((field.element(x), field.element(y), field.element(z)))
 
 
 def _point_from_vector(field: ExactField, v: Sequence) -> ProjPoint:
-    """The point of a nonzero vector.  Over Q v holds ints: divided by its
-    content it is the point's vector, and the point is canonical, x_i /
-    x_first, with no inverse taken.  Over a number field v are the
+    """The point of a nonzero vector: over Q of ints, whose canonical
+    coordinates are built once, with no inverse; over a number field of
     coordinates."""
     if not field.is_rational:
         return ProjPoint(tuple(v))
-    first = next(x for x in v if x)
-    g = gcd(*v) if first > 0 else -gcd(*v)
-    vec = tuple(x // g for x in v)
-    p = ProjPoint(tuple(_element(field, (x,), first // g) for x in vec))
-    object.__setattr__(p, "_vec", vec)
+    p = object.__new__(ProjPoint)
+    _set_vector(p, field, v)
     return p
 
 
@@ -233,12 +216,11 @@ def cross(u: Sequence[FieldElement], v: Sequence[FieldElement]):
 
 
 def _in_order(pts: list[tuple[ProjPoint, int]]) -> list[tuple[ProjPoint, int]]:
-    """(point, multiplicity) pairs sorted by :meth:`ProjPoint.sort_key`,
-    compared as the integer identities over one common denominator."""
-    den = lcm(*(d for pt, _ in pts for _, d in pt.identity()))
-    return sorted(
-        pts, key=lambda pm: [n * (den // d) for num, d in pm[0].identity() for n in num]
-    )
+    """(point, multiplicity) pairs sorted by the coefficients of their
+    canonical coordinates, compared as integers over one common
+    denominator."""
+    den = lcm(*(c.den for pt, _ in pts for c in pt.coords))
+    return sorted(pts, key=lambda pm: [n * (den // c.den) for c in pm[0].coords for n in c.num])
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +476,8 @@ def _conic_bilinear(c: PlaneCurve, p: ProjPoint, q: ProjPoint) -> FieldElement:
 
 
 def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int]], int]:
-    """The in-field points where line l meets conic q, canonical and
-    sorted by sort_key, with their multiplicities, and the total of those
+    """The in-field points where line l meets conic q, in the order of
+    :func:`_in_order`, with their multiplicities, and the total of those
     multiplicities (2 when both points are in the field).  The line is
     spanned by two vectors a, b built from its vector, and q(t*a + u*b) is
     read off q's vector and S."""
@@ -505,7 +487,7 @@ def _line_conic(l: PlaneCurve, q: PlaneCurve) -> tuple[list[tuple[ProjPoint, int
     beta = dot(a, mat_vec(q._vmat, b))
     roots, found = binary_form_roots([gamma, beta, alpha], l.field)
     pts = [
-        (ProjPoint(tuple(dot((t, u), xy) for xy in zip(a, b))).canonical(), mult)
+        (ProjPoint(tuple(dot((t, u), xy) for xy in zip(a, b))), mult)
         for (t, u), mult in roots
     ]
     return _in_order(pts), found
@@ -568,7 +550,7 @@ def _conic_conic(f: PlaneCurve, g: PlaneCurve) -> list[tuple[ProjPoint, int]]:
             raise AssertionError("no member splits, yet two base points are in K")
     else:
         if len(split) == 2:
-            on_lines = [(_point_from_vector(field, cross(a._vec, b._vec)).canonical(), 1)
+            on_lines = [(_point_from_vector(field, cross(a._vec, b._vec)), 1)
                         for a in split[0] for b in split[1]]
         else:
             on_lines = [pm for l in split[0] for pm in _line_conic(l, f)[0]]
@@ -601,7 +583,7 @@ def _complete_pair(
     f: PlaneCurve, g: PlaneCurve, known: Sequence[ProjPoint]
 ) -> list[tuple[ProjPoint, int]]:
     """intersect(f, g) for two conics with three known distinct common
-    points P1, P2, P3 (canonical), by the pencil argument of
+    points P1, P2, P3, by the pencil argument of
     :func:`_conic_conic` with no root finding.
 
     R = P1 + P2 lies on the line L = P1 x P2, and not on f, which would
@@ -623,7 +605,7 @@ def _complete_pair(
     fr, gr, fr3, gr3 = (dot(v1, grad) for grad in (fp2, gp2, fp3, gp3))
     m = [minor(gr, a, fr, b) for a, b in zip(fp3, gp3)]
     m3 = [minor(gr3, a, fr3, b) for a, b in zip(fp2, gp2)]
-    x = _point_from_vector(f.field, cross(m, m3)).canonical()
+    x = _point_from_vector(f.field, cross(m, m3))
     if not (incident(f, x) and incident(g, x)):
         raise AssertionError("pencil lines of a completed pair cross off the base points")
     hits = {p: 1 for p in known}
@@ -745,8 +727,8 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
     the listed points with both its curves.
 
     A pair with its Bezout number of known points, 4 for two conics and 1
-    for two lines, is skipped.  Points are keyed by their integer
-    :meth:`~ProjPoint.identity`, so the known points are distinct, and
+    for two lines, is skipped.  The table is keyed by the points, which
+    compare by their integer key, so the known points are distinct, and
     two distinct irreducible curves whose intersection numbers sum to the
     Bezout number, each at least 1, meet transversally at those points and
     nowhere else (Fulton, *Algebraic Curves*, 5.3).  Intersecting a
@@ -778,12 +760,12 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
         raise MixedClassesError("curves must be all lines or all conics")
     cls = LINES if forms == {CurveForm.LINE} else CONICS
 
-    # the incidence table: each point's identity maps to the point and its
-    # curves, fixed when a pair first finds it; on_i holds the rows on curve i
+    # the incidence table: each point maps to its curves, fixed when a pair
+    # first finds it; on_i holds the rows on curve i
     bezout = curves[0].degree ** 2
-    table: dict[tuple, tuple[ProjPoint, set[int]]] = {}
+    table: dict[ProjPoint, set[int]] = {}
     for i in range(len(curves)):
-        on_i = [row for row in table.values() if i in row[1]]
+        on_i = [row for row in table.items() if i in row[1]]
         for j in range(i + 1, len(curves)):
             known = [pt for pt, members in on_i if j in members]
             if len(known) == bezout:
@@ -795,19 +777,19 @@ def extract_profile(config: GeometricConfiguration) -> ConfigurationProfile:
             for pt, mult in pts:
                 if mult > 1:
                     raise NonTransversalIntersection(
-                        f"curves {i} and {j} meet at {pt.canonical()} with "
+                        f"curves {i} and {j} meet at {pt} with "
                         f"multiplicity {mult}",
                         pair=(i, j),
                         point=pt,
                     )
-                if pt.identity() not in table:
+                if pt not in table:
                     later = range(j + 1, len(curves))
                     members = {i, j, *(m for m in later if incident(curves[m], pt))}
-                    table[pt.identity()] = row = (pt, members)
-                    on_i.append(row)
+                    table[pt] = members
+                    on_i.append((pt, members))
 
     t: dict[int, int] = {}
-    for _, members in table.values():
+    for members in table.values():
         r = len(members)
         t[r] = t.get(r, 0) + 1
 

@@ -126,6 +126,67 @@ def test_analyze_ambiguous_multiplicity_keys_exit_1(tmp_path, capsys, text, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "geom"])
+def test_deeply_nested_json_exits_1_on_one_line(tmp_path, command):
+    # json recurses once per bracket and runs past the recursion limit
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000)
+    r = run_cli([command, str(doc)])
+    assert (r.returncode, r.stdout) == (1, "")
+    [line] = r.stderr.splitlines()
+    assert line.startswith(f"error: $: invalid JSON in {doc}: maximum recursion depth")
+
+
+# the widest integer a profile document may hold, and one digit more, which
+# JSON still reads: 4,000 digits under the default 4,300-digit limit
+CAP = sys.get_int_max_str_digits() // 5
+WIDE = "9" * 4000
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--machine"],
+                                  ["cremona", "--mode", "generic", "--machine"]],
+                         ids=["analyze", "analyze-machine", "cremona-machine"])
+def test_a_4000_digit_k_exits_1_on_one_line(tmp_path, argv):
+    doc = tmp_path / "wide.json"
+    doc.write_text(f'{{"class": "line-p2", "k": {WIDE}, "t": {{"2": 1}}}}')
+    r = run_cli([*argv[:1], str(doc), *argv[1:]])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.splitlines() == [f"error: $.k: integer has more than {CAP} digits"]
+
+
+@pytest.mark.parametrize("doc, loc", [
+    (f'{{"class": "conic-p2", "k": 5, "t": {{"2": {WIDE}}}}}', "$.t.2"),
+    (f'{{"class": "conic-p2", "k": 5, "t": {{"2": {"9" * (CAP + 1)}}}}}', "$.t.2"),
+    (f'{{"class": "conic-p2", "k": 5, "t": {{"{WIDE}": 1}}}}', f"$.t.{WIDE}"),
+    ('{"class": {"plane-curve-p2": {"degree": %s}}, "k": 5, "t": {"2": 1}}' % WIDE,
+     "$.class.plane-curve-p2.degree"),
+], ids=["count", "count-cap-plus-1", "key", "degree"])
+def test_integers_past_the_printable_width_are_refused(tmp_path, capsys, doc, loc):
+    path = tmp_path / "wide.json"
+    path.write_text(doc)
+    for argv in (["analyze", str(path)], ["cremona", str(path), "--mode", "common3"]):
+        assert run_in_process(argv, capsys) == (
+            1, "", f"error: {loc}: integer has more than {CAP} digits\n")
+
+
+@pytest.mark.parametrize("cls", ["line-p2", "conic-p2", "one-one-quadric",
+                                 {"plane-curve-p2": {"degree": 10**CAP - 1}}])
+def test_integers_at_the_printable_width_are_analyzed(tmp_path, capsys, cls):
+    """Every integer of the document at the cap: the incidence identity's
+    two sides, d^2*C(k,2) the widest, still print, with --machine too."""
+    wide = 10**CAP - 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"class": cls, "k": wide, "t": {str(wide): wide, "2": wide}}))
+    code, out, err = run_in_process(["analyze", str(path), "--machine"], capsys)
+    violations = json.loads(out)["validation"]["violations"]
+    assert (code, err) == (1, "")
+    assert "incidence-identity" in [v["code"] for v in violations]
+    code, out, err = run_in_process(["analyze", str(path)], capsys)
+    assert (code, err) == (1, "") and "incidence-identity" in out
+    code, out, err = run_in_process(["cremona", str(path), "--mode", "generic"], capsys)
+    assert code in (1, 2) and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_analyze_conic_constraints_surface(tmp_path):
     doc = tmp_path / "conics.json"
     doc.write_text(json.dumps({"class": "conic-p2", "k": 4, "t": {"2": 24}}))

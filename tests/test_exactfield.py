@@ -785,26 +785,6 @@ def test_long_coefficient_vectors_reduce_like_the_reference():
             _assert_normal(got)
 
 
-def test_sort_key_orders_points_by_fraction_value():
-    from harbourne.geometry import ProjPoint
-
-    field = ORACLE_FIELDS["sqrt5"]
-    m = list(field.min_poly)
-    rng = random.Random(20151020)
-    points, want = [], []
-    for _ in range(60):
-        coords = [_random_coeffs(rng, 2) for _ in range(3)]
-        coords[rng.randrange(3)] = (F(rng.randint(1, 3)), F(0))  # never (0:0:0)
-        points.append(ProjPoint(tuple(field.element(c) for c in coords)))
-        lead = next(c for c in coords if any(c))
-        inv = _ref_inverse(lead, m)
-        want.append(tuple(_ref_mul(c, inv, m) for c in coords))
-    assert [p.sort_key() for p in points] == want
-    assert sorted(points, key=ProjPoint.sort_key) == [
-        points[i] for i in sorted(range(len(points)), key=want.__getitem__)
-    ]
-
-
 def _fraction_det(rows):
     a = [[F(x) for x in r] for r in rows]
     n, det = len(a), F(1)

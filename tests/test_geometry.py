@@ -49,21 +49,21 @@ class TestPoints:
             point(Q, 0, 0, 0)
 
     def test_canonical(self):
-        p = point(Q, 0, 3, 6).canonical()
+        p = point(Q, 0, 3, 6)
         assert [c.as_rational() for c in p.coords] == [F(0), F(1), F(2)]
-        assert p.canonical() is p
+        assert ProjPoint(p.coords).coords == p.coords
 
     def test_hash_consistent_with_equality(self):
         assert len({point(Q, 1, 2, 3), point(Q, 2, 4, 6)}) == 1
 
-    def test_sort_key_is_cached_and_equals_a_fresh_computation(self):
+    def test_coords_are_canonical_and_equal_a_fresh_computation(self):
         theta = SQRTM2.generator()
-        p = ProjPoint((theta * 2, SQRTM2.element(3), theta + 1))
-        key = p.sort_key()
-        assert p.sort_key() is key
-        assert key == tuple(c.coeffs for c in p.canonical().coords)
-        twin = ProjPoint(tuple(c * (theta - 5) for c in p.coords))
-        assert twin == p and hash(twin) == hash(p) and twin.sort_key() == key
+        raw = (theta * 2, SQRTM2.element(3), theta + 1)
+        p = ProjPoint(raw)
+        inv = raw[0].inverse()
+        assert p.coords == tuple(c * inv for c in raw) and p.coords[0] == SQRTM2.one()
+        twin = ProjPoint(tuple(c * (theta - 5) for c in raw))
+        assert twin == p and hash(twin) == hash(p) and twin.coords == p.coords
         assert repr(p) == f"ProjPoint{p}" and "_key" not in repr(p)
 
     def test_equal_fields_accepted_and_mixed_fields_rejected(self, monkeypatch):
@@ -147,7 +147,7 @@ class TestIntersect:
         [(pt, mult)] = intersect(line(field, 2 * theta, -1, -5), parabola)
         assert mult == 2 and pt == ProjPoint((theta, field.element(5), field.one()))
         assert pt.coords == (field.one(), theta, theta / 5)
-        assert pt.canonical() is pt
+        assert ProjPoint(pt.coords).coords == pt.coords
 
     def test_line_conic_outside_field(self):
         circle = conic(Q, 1, 1, -1, 0, 0, 0)
@@ -304,8 +304,9 @@ class TestExtractProfile:
             )
         ]
         base = [point(Q, *p) for p in ((-4, -6, 5), (-5, 7, 8), (7, 4, 4), (-5, 7, 1))]
-        assert sorted(p.sort_key() for p, _ in intersect(members[0], members[5])) == sorted(
-            p.sort_key() for p in base
+        got = [p for p, _ in intersect(members[0], members[5])]
+        assert sorted(tuple(c.coeffs for c in p.coords) for p in got) == sorted(
+            tuple(c.coeffs for c in p.coords) for p in base
         )
         profile = extract_profile(GeometricConfiguration(Q, tuple(members)))
         assert dict(profile.t) == {6: 4}
@@ -455,13 +456,13 @@ class TestConicPencilGroundTruth:
             if members is None:
                 continue
             result = intersect(members[0], members[1])
-            assert sorted(p.sort_key() for p, _ in result) == sorted(
-                p.sort_key() for p in pts
+            assert sorted(tuple(c.coeffs for c in p.coords) for p, _ in result) == sorted(
+                tuple(c.coeffs for c in p.coords) for p in pts
             )
             assert sum(m for _, m in result) == 4
             reversed_result = intersect(members[1], members[0])
-            assert sorted((p.sort_key(), m) for p, m in result) == sorted(
-                (p.sort_key(), m) for p, m in reversed_result
+            assert sorted((tuple(c.coeffs for c in p.coords), m) for p, m in result) == sorted(
+                (tuple(c.coeffs for c in p.coords), m) for p, m in reversed_result
             )
             done += 1
 
@@ -494,8 +495,8 @@ class TestConicPencilGroundTruth:
             if members is None:
                 continue
             result = intersect(members[0], members[1])
-            assert sorted(p.sort_key() for p, _ in result) == sorted(
-                p.sort_key() for p in pts
+            assert sorted(tuple(c.coeffs for c in p.coords) for p, _ in result) == sorted(
+                tuple(c.coeffs for c in p.coords) for p in pts
             )
             assert sum(m for _, m in result) == 4
             done += 1
@@ -656,7 +657,7 @@ def _parametrized_intersection(f, g, p0):
     ]
     for pt, _ in pts:
         assert incident(f, pt) and incident(g, pt)
-    return sorted(pts, key=lambda pm: pm[0].sort_key()), found
+    return sorted(pts, key=lambda pm: tuple(c.coeffs for c in pm[0].coords)), found
 
 
 def _assert_matches_parametrization(f, g, known=None):
@@ -679,7 +680,8 @@ def _assert_matches_parametrization(f, g, known=None):
     assert len(got) == len(want)
     assert all(p == q for (p, _), (q, _) in zip(got, want))
     assert [m for _, m in got] == [m for _, m in want]
-    assert [p.sort_key() for p, _ in got] == [q.sort_key() for q, _ in want]
+    assert [tuple(c.coeffs for c in p.coords) for p, _ in got] == [
+        tuple(c.coeffs for c in q.coords) for q, _ in want]
     if found == 4:
         assert err is None
     else:
@@ -755,7 +757,7 @@ def _oracle_pairs(rng, field, kind, count):
         t1 = G.PlaneCurve(G.CurveForm.LINE, f0.gradient(p1))
         if kind == "no-split":
             q = [elem(4) for _ in range(6)]
-            x, y, _ = p1.coords  # Z = 1, so the Z^2 coefficient absorbs q(p1)
+            x, y = ts[0], ts[0] * ts[0]  # Z = 1, so the Z^2 coefficient absorbs q(p1)
             rest = zip(q[:2] + q[3:], (x * x, y * y, x * y, x, y))
             q[2] = -sum((c * m for c, m in rest), field.zero())
         else:
@@ -814,9 +816,9 @@ def _random_element(rng, field):
     )
 
 
-def _conic_by_terms(c, p):
+def _conic_by_terms(c, coords):
     a, b, cc, d, e, f = c.coeffs
-    x, y, z = p.coords
+    x, y, z = coords
     return a * x * x + b * y * y + cc * z * z + d * x * y + e * x * z + f * y * z
 
 
@@ -847,14 +849,15 @@ def test_forms_match_their_term_by_term_formulas(name):
         except GeometryError:  # degenerate
             continue
         a, b, c, d, e, f = k.coeffs
-        assert k.evaluate(p) == _conic_by_terms(k, p)
+        assert k.evaluate(p) == _conic_by_terms(k, p.coords)
         assert k.gradient(p) == (
             2 * a * x + d * y + e * z,
             d * x + 2 * b * y + f * z,
             e * x + f * y + 2 * c * z,
         )
-        pq = ProjPoint(tuple(u + v for u, v in zip(p.coords, q.coords)))
-        polar = _conic_by_terms(k, pq) - _conic_by_terms(k, p) - _conic_by_terms(k, q)
+        pq = tuple(u + v for u, v in zip(p.coords, q.coords))
+        polar = (_conic_by_terms(k, pq) - _conic_by_terms(k, p.coords)
+                 - _conic_by_terms(k, q.coords))
         assert G._conic_bilinear(k, p, q) == polar
         m, n = (tuple(tuple(elem() for _ in range(3)) for _ in range(3)) for _ in range(2))
         assert G.det3(m) == _det_by_terms(m)
@@ -865,14 +868,18 @@ def test_forms_match_their_term_by_term_formulas(name):
         checked += 1
 
 
-def _random_point(rng, field, zeros=True):
+def _random_coords(rng, field, zeros=True):
     coords = [_random_element(rng, field) for _ in range(3)]
     if zeros:
         for i in rng.sample(range(3), rng.randint(0, 2)):
             coords[i] = field.zero()
     if all(c.is_zero() for c in coords):
         coords[rng.randrange(3)] = field.one()
-    return ProjPoint(tuple(coords))
+    return tuple(coords)
+
+
+def _random_point(rng, field, zeros=True):
+    return ProjPoint(_random_coords(rng, field, zeros))
 
 
 def _nonzero_scaling(rng, field):
@@ -884,32 +891,67 @@ def _nonzero_scaling(rng, field):
 
 @pytest.mark.parametrize("name", ["Q", "sqrt5"])
 def test_point_identity_is_projective(name):
-    """Scalings of one point share identity, hash and sort key; points
-    that are not proportional have different identities."""
+    """Scalings of one point share key, hash and coordinates, whose first
+    nonzero entry is 1; the key is the vector over Q and the (num, den) of
+    the coordinates over a number field.  Points that are not proportional
+    have different keys."""
     field = ORACLE_FIELDS[name]
     rng = random.Random(f"identity:{name}")
     pts = [_random_point(rng, field) for _ in range(40)]
     for p in pts:
+        assert next(c for c in p.coords if c) == field.one()
+        key = p.vector() if field.is_rational else tuple((c.num, c.den) for c in p.coords)
+        assert p._key == key
         scale = _nonzero_scaling(rng, field)
         twin = ProjPoint(tuple(c * scale for c in p.coords))
-        canon = p.canonical().coords
-        assert p.identity() == twin.identity() == tuple((c.num, c.den) for c in canon)
-        assert twin == p and hash(twin) == hash(p) and twin.sort_key() == p.sort_key()
+        assert twin._key == key and twin.coords == p.coords
+        assert twin == p and hash(twin) == hash(p)
         for s in (-scale, scale * F(-(10**12 + 39), 10**9 + 7)):
             other = ProjPoint(tuple(c * s for c in p.coords))
-            assert other.identity() == p.canonical().identity() == p.identity()
+            assert other._key == key and other.coords == p.coords
     pairs = 0
     for p, q in combinations(pts, 2):
         proportional_ = all(c.is_zero() for c in G.cross(p.coords, q.coords))
-        assert (p.identity() == q.identity()) is (p == q) is proportional_
+        assert (p._key == q._key) is (p == q) is (p.coords == q.coords) is proportional_
         pairs += not proportional_
     assert pairs > 700
 
 
+def test_sort_key_orders_points_by_fraction_value():
+    """Over Q(sqrt5) a point's coordinates are x_i / x_lead, checked on
+    Fractions with (a + b theta)^-1 = (a - b theta) / (a^2 - 5 b^2), and
+    _in_order sorts points by their coefficients."""
+    field = ORACLE_FIELDS["sqrt5"]
+    rng = random.Random(20151020)
+
+    def coeff():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return F(0)
+        if kind == 1:
+            return F(rng.randint(-9, 9))
+        if kind == 2:
+            return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        return F(rng.randint(-60, 60), rng.randint(1, 12))
+
+    points, want = [], []
+    for _ in range(60):
+        coords = [(coeff(), coeff()) for _ in range(3)]
+        coords[rng.randrange(3)] = (F(rng.randint(1, 3)), F(0))  # never (0:0:0)
+        points.append(ProjPoint(tuple(field.element(c) for c in coords)))
+        a, b = next(c for c in coords if any(c))
+        u, v = a / (a * a - 5 * b * b), -b / (a * a - 5 * b * b)
+        want.append(tuple((x * u + 5 * y * v, x * v + y * u) for x, y in coords))
+    assert [tuple(c.coeffs for c in p.coords) for p in points] == want
+    order = sorted(range(len(points)), key=want.__getitem__)
+    got = G._in_order([(p, 1) for p in points])
+    assert all(p is points[i] for (p, _), i in zip(got, order))
+
+
 @pytest.mark.parametrize("name", ["Q", "sqrt5", "cbrt2"])
 def test_integer_order_is_the_sort_key_order(name):
-    """_in_order sorts (point, multiplicity) pairs as sort_key does, with
-    ties (scaled copies) left in their order."""
+    """_in_order sorts (point, multiplicity) pairs by the coefficients of
+    their coordinates, with ties (scaled copies) left in their order."""
     field = ORACLE_FIELDS[name]
     rng = random.Random(f"order:{name}")
 
@@ -929,7 +971,8 @@ def test_integer_order_is_the_sort_key_order(name):
                     scale = _nonzero_scaling(rng, field)
                     pts.append((ProjPoint(tuple(c * scale for c in p.coords)), 1))
         rng.shuffle(pts)
-        got, want = G._in_order(pts), sorted(pts, key=lambda pm: pm[0].sort_key())
+        got = G._in_order(pts)
+        want = sorted(pts, key=lambda pm: tuple(c.coeffs for c in pm[0].coords))
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
 
@@ -937,7 +980,7 @@ def test_integer_order_is_the_sort_key_order(name):
 def test_cached_monomials_and_gradients_match_the_formulas(name):
     """A point keeps the monomials of its own vector, computed once, even
     when a scaled copy of it was evaluated first; a conic's gradient is S p
-    on each point's coordinates."""
+    on each point's coordinates, which a scaled copy shares."""
     field = ORACLE_FIELDS[name]
     rng = random.Random(f"caches:{name}")
     checked = 0
@@ -947,9 +990,10 @@ def test_cached_monomials_and_gradients_match_the_formulas(name):
                       for _ in range(2)]
         except GeometryError:  # degenerate
             continue
-        p = _random_point(rng, field, zeros=checked % 2 == 0)
+        raw = _random_coords(rng, field, zeros=checked % 2 == 0)
         s = _nonzero_scaling(rng, field)
-        twin = ProjPoint(tuple(c * s for c in p.coords))
+        p, twin = ProjPoint(raw), ProjPoint(tuple(c * s for c in raw))
+        assert twin.coords == p.coords
         for pt in (twin, p):
             x, y, z = pt.vector()
             assert pt.monomials() == (x * x, y * y, z * z, x * y, x * z, y * z)
@@ -962,9 +1006,9 @@ def test_cached_monomials_and_gradients_match_the_formulas(name):
                     d * x + 2 * b * y + f * z,
                     e * x + f * y + 2 * c * z,
                 )
-                assert k.evaluate(pt) == _conic_by_terms(k, pt)
+                assert k.evaluate(pt) == _conic_by_terms(k, pt.coords)
         for k in conics:
-            assert k.gradient(twin) == tuple(s * g for g in k.gradient(p))
+            assert k.gradient(twin) == k.gradient(p)
         checked += 1
 
 
@@ -990,6 +1034,35 @@ def test_vector_is_the_primitive_integer_vector_over_q(name):
             assert ProjPoint(tuple(c * s for c in p.coords)).vector() == vec
 
 
+@pytest.mark.parametrize("name", ["Q", "sqrt5", "cbrt2"])
+def test_scaled_coordinates_build_one_stored_point(name, monkeypatch):
+    """A point built from any nonzero scaling of its coordinates has the
+    same coords, vector and hash.  Its construction takes one inverse over
+    a number field when the lead coordinate is not 1, and none over Q."""
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(f"scalings:{name}")
+    taken = []
+    original = exactfield.FieldElement.inverse
+    monkeypatch.setattr(exactfield.FieldElement, "inverse",
+                        lambda self: taken.append(self) or original(self))
+
+    def built(coords):
+        del taken[:]
+        p = ProjPoint(coords)
+        lead = next(c for c in coords if c)
+        assert len(taken) == (0 if field.is_rational or lead == field.one() else 1)
+        return p
+
+    for _ in range(40):
+        raw = _random_coords(rng, field)
+        p = built(raw)
+        scale = _nonzero_scaling(rng, field)
+        for s in (scale, -scale, scale * F(-(10**12 + 39), 10**9 + 7)):
+            twin = built(tuple(c * s for c in raw))
+            assert twin.coords == p.coords and twin.vector() == p.vector()
+            assert hash(twin) == hash(p) and twin == p
+
+
 def test_points_built_from_integer_vectors():
     """Over Q a line crossing is built from the integer cross product of
     the lines' vectors: canonical, with the vector a fresh copy computes."""
@@ -1002,7 +1075,8 @@ def test_points_built_from_integer_vectors():
     assert any(c.den > 1 for l in lines for c in l.coeffs)
     for a, b in combinations(lines, 2):
         [(p, mult)] = intersect(a, b)
-        assert mult == 1 and p.canonical() is p and incident(a, p) and incident(b, p)
+        assert mult == 1 and next(c for c in p.coords if c) == Q.one()
+        assert incident(a, p) and incident(b, p)
         assert p.vector() == ProjPoint(p.coords).vector()
         assert not any(G.cross(p.coords, G.cross(a.coeffs, b.coeffs)))
 
@@ -1052,9 +1126,9 @@ def _line_conic_on_coords(l, q):
     form = [q.evaluate(pb), G._conic_bilinear(q, pa, pb), q.evaluate(pa)]
     roots, found = G.binary_form_roots(form, field)
     pts = sorted(
-        ((ProjPoint(tuple(t * x + u * y for x, y in zip(pa.coords, pb.coords))).canonical(), m)
+        ((ProjPoint(tuple(t * x + u * y for x, y in zip(pa.coords, pb.coords))), m)
          for (t, u), m in roots),
-        key=lambda pm: pm[0].sort_key(),
+        key=lambda pm: tuple(c.coeffs for c in pm[0].coords),
     )
     if found < 2:
         raise IntersectionOutsideField(
@@ -1266,7 +1340,7 @@ def _one_member_intersect(f, g):
             for pt, mult in G._line_conic(l, f)[0]:
                 assert incident(g, pt)
                 hits[pt] = hits.get(pt, 0) + mult
-        pts = sorted(hits.items(), key=lambda pm: pm[0].sort_key())
+        pts = sorted(hits.items(), key=lambda pm: tuple(c.coeffs for c in pm[0].coords))
     found = sum(m for _, m in pts)
     if not pts:
         raise IntersectionOutsideField(
@@ -1435,8 +1509,9 @@ class TestCompletePair:
 
 def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
     """Over Q(sqrt5), intersect and extract_profile ask for no field
-    inverse from geometry code except to normalize a point; conics are
-    read through the doubled matrix S, whose entries are the coefficients."""
+    inverse from geometry code except to store a point canonical when it is
+    built; conics are read through the doubled matrix S, whose entries are
+    the coefficients."""
     field = ORACLE_FIELDS["sqrt5"]
     theta = field.generator()
     f = conic(field, 1, 2, 3, 4, 5, theta)
@@ -1468,7 +1543,7 @@ def test_geometry_takes_no_inverse_outside_canonical(monkeypatch):
             pass
     profile = extract_profile(GeometricConfiguration(field, tuple(images)))
     assert profile.t[len(images)] == 3
-    assert requested and set(requested) == {"canonical"}
+    assert requested and set(requested) == {"__post_init__"}
 
 
 def test_line_arrangement_over_q_takes_no_inverse(monkeypatch):
@@ -1489,7 +1564,7 @@ def _incidence_t(curves):
     points = {}
     for a, b in combinations(curves, 2):
         for p, _ in intersect(a, b):
-            points.setdefault(p.sort_key(), p)
+            points.setdefault(tuple(c.coeffs for c in p.coords), p)
     t = {}
     for p in points.values():
         r = sum(incident(c, p) for c in curves)
@@ -1531,12 +1606,12 @@ def _all_pairs_profile(config):
         for pt, mult in intersect(curves[i], curves[j]):
             if mult > 1:
                 raise NonTransversalIntersection(
-                    f"curves {i} and {j} meet at {pt.canonical()} with "
+                    f"curves {i} and {j} meet at {pt} with "
                     f"multiplicity {mult}",
                     pair=(i, j),
                     point=pt,
                 )
-            on_curves.setdefault(pt.sort_key(), set()).update((i, j))
+            on_curves.setdefault(tuple(c.coeffs for c in pt.coords), set()).update((i, j))
     t = {}
     for members in on_curves.values():
         t[len(members)] = t.get(len(members), 0) + 1
@@ -1895,6 +1970,24 @@ class TestExtractProfileSkipsKnownPairs:
         assert _seven_point_elements(monkeypatch) <= 600
         assert len(taken) <= 10
 
+    def test_seven_point_conics_build_454_elements_and_take_1_inverse(self, monkeypatch):
+        """Over Q root finding reads a polynomial's integers before any
+        monic form is made, so the one inverse left is the division that
+        gives a linear polynomial's root, and geometry asks for none."""
+        requested = []
+        original = exactfield.FieldElement.inverse
+
+        def inverse(self):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "__truediv__":
+                frame = frame.f_back  # the division asked for the inverse
+            requested.append(frame.f_code.co_name)
+            return original(self)
+
+        monkeypatch.setattr(exactfield.FieldElement, "inverse", inverse)
+        assert _seven_point_elements(monkeypatch) == 454
+        assert requested == ["roots_in_field"]
+
     def test_cremona_image_conics_make_1_call_and_9_completions(
         self, intersect_calls, completions
     ):
@@ -2001,7 +2094,8 @@ class TestExtractProfileSkipsKnownPairs:
                 continue
             curves, _ = made
             f, g = curves[0], curves[-1]
-            found_on_f = {p.sort_key(): p for c in curves[1:-1] for p, _ in intersect(f, c)}
+            found_on_f = {tuple(c.coeffs for c in p.coords): p
+                          for c in curves[1:-1] for p, _ in intersect(f, c)}
             if sum(incident(g, p) for p in found_on_f.values()) != known:
                 continue
             try:

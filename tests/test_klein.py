@@ -96,7 +96,7 @@ def _singular_points(lines):
     points = {}
     for l1, l2 in combinations(lines, 2):
         p = ProjPoint(cross(l1.coeffs, l2.coeffs))
-        points[p.sort_key()] = p
+        points[tuple(c.coeffs for c in p.coords)] = p
     return list(points.values())
 
 
